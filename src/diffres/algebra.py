@@ -1,6 +1,6 @@
 """Exact arithmetic: symbols with formal derivatives, sparse multivariate
 polynomials over Q, fractions of polynomials, and the matrix kernel of the
-package (fraction-free determinants, rank, left kernel echelon forms).
+package (fraction-free determinants and rank).
 
 Everything here is exact; no floating point anywhere.
 """
@@ -31,8 +31,8 @@ class Sym:
         self.name = name
         self.order = order
         self.constant = constant
-        self.key = (name, order)
-        self._hash = hash((name, order, constant))
+        self.key = (name, order, constant)
+        self._hash = hash(self.key)
 
     def derived(self, k=1):
         if self.constant:
@@ -41,10 +41,7 @@ class Sym:
 
     def __eq__(self, other):
         return (self is other) or (
-            isinstance(other, Sym)
-            and self.key == other.key
-            and self.constant == other.constant
-        )
+            isinstance(other, Sym) and self.key == other.key)
 
     def __hash__(self):
         return self._hash
@@ -311,6 +308,8 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- calculus ------------------------------------------------------
@@ -757,12 +756,12 @@ def determinant(m, method="auto"):
 
 
 # ---------------------------------------------------------------------------
-# rank and kernels over the fraction field
+# rank over the fraction field
 # ---------------------------------------------------------------------------
 
 
 def _poly_rows(m):
-    """Clear denominators row by row; rank and kernels are unaffected."""
+    """Clear denominators row by row; the rank is unaffected."""
     rows = []
     for row in m:
         if any(isinstance(e, Frac) for e in row):
@@ -840,88 +839,3 @@ def rank(m):
         r += 1
     return r
 
-
-def left_kernel_echelon(m, coord_order=None):
-    """Basis of {v : v.m = 0} over the fraction field, in echelon form.
-
-    ``coord_order`` lists the kernel coordinates (row indices of m) from
-    largest to smallest; default 0 > 1 > ... .  Each returned vector has
-    leading coefficient 1 on its leading (largest) coordinate, leading
-    coordinates are distinct, and rows are sorted so the last row has the
-    smallest leading coordinate.
-    """
-    nrows = len(m)
-    if nrows == 0:
-        return []
-    ncols = len(m[0])
-    if coord_order is None:
-        coord_order = list(range(nrows))
-    pos = {c: i for i, c in enumerate(coord_order)}
-
-    zero = Frac.of(0)
-    one = Frac.of(1)
-    work = []
-    for i, row in enumerate(m):
-        left = [Frac.of(e) for e in row]
-        right = [one if j == i else zero for j in range(nrows)]
-        work.append((left, right))
-
-    for c in range(ncols):
-        pivot_idx = None
-        for idx, (left, _) in enumerate(work):
-            if not left[c].is_zero():
-                pivot_idx = idx
-                break
-        if pivot_idx is None:
-            continue
-        pleft, pright = work.pop(pivot_idx)
-        pv = pleft[c]
-        reduced = []
-        for left, right in work:
-            e = left[c]
-            if e.is_zero():
-                reduced.append((left, right))
-            else:
-                f = e / pv
-                reduced.append((
-                    [a - f * b for a, b in zip(left, pleft)],
-                    [a - f * b for a, b in zip(right, pright)],
-                ))
-        work = reduced
-
-    kernel = []
-    for left, right in work:
-        assert all(e.is_zero() for e in left)
-        kernel.append(list(right))
-
-    # reduced echelon with respect to the coordinate order
-    def lead(v):
-        best = None
-        for c in range(nrows):
-            if not v[c].is_zero():
-                p = pos[c]
-                if best is None or p < best:
-                    best = p
-        return best
-
-    basis = []
-    for v in kernel:
-        for b in basis:
-            p = lead(b)
-            c = coord_order[p]
-            if not v[c].is_zero():
-                f = v[c]
-                v = [a - f * bb for a, bb in zip(v, b)]
-        if any(not e.is_zero() for e in v):
-            p = lead(v)
-            c = coord_order[p]
-            f = v[c]
-            v = [a / f for a in v]
-            # clear this coordinate from the earlier basis vectors
-            basis = [
-                [a - b[c] * vv for a, vv in zip(b, v)] if not b[c].is_zero() else b
-                for b in basis
-            ]
-            basis.append(v)
-    basis.sort(key=lead)
-    return basis

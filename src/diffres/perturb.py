@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Frac, Poly, as_poly, const_sym, exact_div, sym
+from .algebra import (Frac, Poly, _mono_gcd, as_poly, const_sym, exact_div,
+                      sym)
 from .errors import (
     AssumptionViolated,
     BetaOmegaViolated,
@@ -530,13 +531,6 @@ def id_primitive_part(B, names):
     return _normalize_linear(out, names)
 
 
-def _mono_pair_gcd(a, b):
-    db = dict(b)
-    out = [(s, min(e, db[s])) for s, e in a if s in db]
-    out.sort(key=lambda p: p[0].key)
-    return tuple(out)
-
-
 def extract_resultant(det, names):
     """Strip coefficient-field content from a determinant, then normalize.
 
@@ -557,7 +551,7 @@ def extract_resultant(det, names):
     for c in polys[1:]:
         if not mono:
             break
-        mono = _mono_pair_gcd(mono, c.monomial_content())
+        mono = _mono_gcd(mono, c.monomial_content())
     if mono:
         divisor = Poly({mono: Fraction(1)})
         coeffs = {key: exact_div(c, divisor) for key, c in coeffs.items()}

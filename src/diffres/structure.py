@@ -4,16 +4,17 @@ The pattern matrix X has one row per polynomial and one column per active
 parameter, with a fresh symbol x{i}_{j} wherever the operator L_{i,j} is
 nonzero.  Matchings of the row-deleted patterns decide whether a system is
 differentially essential (some row-deleted perfect matching) or super
-essential (all of them).  The super essential subsystem is read off the
-bottom row of the left kernel echelon of X.
+essential (all of them).  Matchings also find the super essential
+subsystem: by Edmonds (1967) the rank of X is the size of a maximum matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import Poly, left_kernel_echelon, sym
-from .errors import AssumptionViolated, NotSuperEssential, TooLarge
+from .algebra import Frac, Poly, determinant, sym
+from .errors import AssumptionViolated, TooLarge
 from .systems import LinearSystem
 
 ENUMERATION_BOUND = 12
@@ -67,50 +68,64 @@ def pattern_matrix(system):
 # ---------------------------------------------------------------------------
 
 
-def _perfectly_matchable(rows, adjacency):
-    """Kuhn's augmenting paths; True iff every listed row can be matched."""
-    match_col = {}
+def _matching(rows, adjacency, owner=()):
+    """Maximum matching of ``rows`` into columns, as {row: column}.
 
-    def augment(r, visited):
-        for c in adjacency[r]:
-            if c in visited:
-                continue
-            visited.add(c)
-            if c not in match_col or augment(match_col[c], visited):
-                match_col[c] = r
-                return True
-        return False
-
-    for r in rows:
-        if not augment(r, set()):
-            return False
-    return True
+    ``owner`` (column -> row) is a matching of other rows to extend.  Rows
+    are tried in the given order, each by one breadth-first search for a
+    shortest augmenting path (no recursion).  A row that fails when its
+    turn comes stays unmatched for good, and the rows tried so far are
+    always maximally matched.
+    """
+    owner = dict(owner)
+    match = {r: c for c, r in owner.items()}
+    for root in rows:
+        came_from = {}              # column -> the row that reached it
+        queue = [root]              # grows while it is scanned
+        free = None
+        for r in queue:
+            for c in adjacency[r]:
+                if c not in came_from:
+                    came_from[c] = r
+                    if c not in owner:
+                        free = c
+                        break
+                    queue.append(owner[c])
+            if free is not None:
+                break
+        while free is not None:     # flip the path back to the root
+            r = came_from[free]
+            owner[free], match[r], free = r, free, match.get(r)
+    return match
 
 
 def _canonical_matching(rows, adjacency, prefer="least"):
     """The lexicographically least (or greatest) perfect matching on ``rows``,
-    scanning rows in increasing order; None if there is none."""
+    scanning rows in increasing order; None if there is none.
+
+    Each row in turn is fixed to the first column that keeps the matching
+    perfect; only the row that held that column is rematched, and fixed
+    rows lose their edges so that no later search moves them.
+    """
     rows = sorted(rows)
-    if not _perfectly_matchable(rows, adjacency):
+    match = _matching(rows, adjacency)
+    if len(match) < len(rows):
         return None
-    available = set()
-    for r in rows:
-        available.update(adjacency[r])
-    assigned = {}
+    adjacency = dict(adjacency)
     for idx, r in enumerate(rows):
-        options = sorted(adjacency[r] & available,
-                         reverse=(prefer == "greatest"))
-        rest = rows[idx + 1:]
+        fixed = {match[rr] for rr in rows[:idx]}
+        options = sorted(adjacency[r] - fixed, reverse=(prefer == "greatest"))
+        adjacency[r] = ()
         for c in options:
-            trimmed = {rr: adjacency[rr] - {c} for rr in rest}
-            if _perfectly_matchable(rest, trimmed):
-                assigned[r] = c
-                available.discard(c)
-                adjacency = {rr: adjacency[rr] - {c} for rr in rows}
+            owner = {cc: rr for rr, cc in match.items() if rr != r}
+            displaced = owner.pop(c, None)
+            owner[c] = r
+            moved = _matching([] if displaced is None else [displaced],
+                              adjacency, owner)
+            if len(moved) == len(rows):
+                match = moved
                 break
-        else:
-            return None
-    return assigned
+    return match
 
 
 def row_deleted_matching(pattern, i, prefer="least"):
@@ -122,7 +137,7 @@ def row_deleted_matching(pattern, i, prefer="least"):
     """
     pattern = pattern_matrix(pattern)
     rows = [r + 1 for r in range(pattern.n) if r + 1 != i]
-    adjacency = {r: set(pattern.rows[r - 1]) for r in rows}
+    adjacency = {r: pattern.rows[r - 1] for r in rows}
     return _canonical_matching(rows, adjacency, prefer=prefer)
 
 
@@ -144,21 +159,8 @@ def is_super_essential(system):
 def structural_rank(pattern):
     """Size of a maximum matching of the full pattern."""
     pattern = pattern_matrix(pattern)
-    rows = list(range(1, pattern.n + 1))
-    adjacency = {r: set(pattern.rows[r - 1]) for r in rows}
-    match_col = {}
-
-    def augment(r, visited):
-        for c in adjacency[r]:
-            if c in visited:
-                continue
-            visited.add(c)
-            if c not in match_col or augment(match_col[c], visited):
-                match_col[c] = r
-                return True
-        return False
-
-    return sum(1 for r in rows if augment(r, set()))
+    rows = range(1, pattern.n + 1)
+    return len(_matching(rows, {r: pattern.rows[r - 1] for r in rows}))
 
 
 # ---------------------------------------------------------------------------
@@ -169,44 +171,69 @@ def structural_rank(pattern):
 @dataclass
 class SubsystemCertificate:
     members: tuple          # 1-based polynomial indices
-    kernel_row: tuple       # Frac coefficients of the bottom echelon row
     matchings: dict         # i -> row-deleted matching of the subsystem
+    pattern: PatternMatrix  # the whole pattern the members come from
 
     @property
     def proper(self):
-        return len(self.kernel_row) != len(self.members)
+        return len(self.members) != self.pattern.n
+
+    @cached_property
+    def kernel_row(self):
+        """The left kernel vector of X supported on the members, as Frac
+        coefficients with 1 at the first member.
+
+        By Cramer's rule the entry of member r is, up to one common factor,
+        the signed maximal minor of the member rows without r.
+        """
+        sub, members = self.pattern.restricted(self.members)
+        x = [[Poly.var(pattern_sym(i, j)) if j in sub.rows[pos]
+              else Poly.zero() for j in sub.columns]
+             for pos, i in enumerate(members)]
+        if len(x) == 1:
+            minors = [Poly.one()]
+        else:
+            minors = [determinant(x[:pos] + x[pos + 1:], "laplace")
+                      for pos in range(len(x))]
+        row = [Frac.of(0)] * self.pattern.n
+        for pos, i in enumerate(members):
+            row[i - 1] = Frac((-1) ** pos * minors[pos], minors[0])
+        return tuple(row)
 
 
 def super_essential_subsystem(system):
     """Indices of the canonical super essential subsystem, with evidence.
 
-    The left kernel of the symbolic pattern matrix is put in echelon form
-    with coordinate order row 1 > row 2 > ...; the support of the bottom row
-    is the subsystem.  For a super essential system that is everything.
+    Rows of the pattern are matched from the last one up.  The first row k
+    that cannot be matched closes the shortest row suffix {k..n} that is
+    structurally dependent; its members are k and the rows that an
+    alternating path from k reaches, which are exactly the rows whose
+    removal leaves the suffix perfectly matchable.  For a super essential
+    system that is everything.
     """
     pattern = pattern_matrix(system)
     n = pattern.n
     if len(pattern.columns) != n - 1:
         raise AssumptionViolated(
             f"{len(pattern.columns)} active parameters for {n} polynomials")
-    basis = left_kernel_echelon(pattern.symbolic())
-    if not basis:
-        raise AssumptionViolated("pattern matrix has a trivial left kernel")
-    bottom = basis[-1]
-    members = tuple(i + 1 for i in range(n) if not bottom[i].is_zero())
-    sub, members = pattern.restricted(members)
-    matchings = {}
-    for pos, i in enumerate(members):
-        rows = [r for r in range(1, sub.n + 1) if r != pos + 1]
-        adjacency = {r: set(sub.rows[r - 1]) for r in rows}
-        got = _canonical_matching(rows, adjacency)
-        if got is None:
-            raise NotSuperEssential(
-                f"kernel support {members} fails the matching test at {i}")
-        matchings[i] = {members[r - 1]: c for r, c in got.items()}
-    return SubsystemCertificate(members=members,
-                                kernel_row=tuple(bottom),
-                                matchings=matchings)
+    adjacency = {r: pattern.rows[r - 1] for r in range(1, n + 1)}
+    matched = _matching(range(n, 0, -1), adjacency)
+    k = max(r for r in adjacency if r not in matched)
+    owner = {c: r for r, c in _matching(range(n, k, -1), adjacency).items()}
+    reached = {k}
+    frontier = [k]
+    while frontier:
+        for c in adjacency[frontier.pop()]:
+            r = owner[c]
+            if r not in reached:
+                reached.add(r)
+                frontier.append(r)
+    members = tuple(sorted(reached))
+    matchings = {i: _canonical_matching([r for r in members if r != i],
+                                        adjacency)
+                 for i in members}
+    return SubsystemCertificate(members=members, matchings=matchings,
+                                pattern=pattern)
 
 
 def restrict(system, members):

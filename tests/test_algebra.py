@@ -17,7 +17,6 @@ from diffres.algebra import (
     determinant,
     exact_div,
     format_poly,
-    left_kernel_echelon,
     rank,
     sym,
 )
@@ -81,6 +80,22 @@ def test_derive_product_rule():
     p = Poly.var(x) ** 2 * Poly.var(k)
     # (k x^2)' = 2 k x x'
     assert p.derive() == 2 * Poly.var(k) * Poly.var(x) * Poly.var(x.derived())
+
+
+def test_constant_and_differential_symbols_of_one_name_stay_apart():
+    k = Poly.var(const_sym("a"))
+    a = Poly.var(sym("a"))
+    assert k * a == a * k
+    [mono] = (k * a).terms
+    assert len(mono) == 2
+    assert (k * a).derive() == (a * k).derive() == k * Poly.var(sym("a", 1))
+
+
+def test_constant_polys_hash_like_their_values():
+    for q in (0, 3, Fraction(-1, 2)):
+        assert Poly.const(q) == q
+        assert hash(Poly.const(q)) == hash(q)
+        assert len({Poly.const(q), q}) == 1
 
 
 def test_derive_leibniz_random():
@@ -249,51 +264,3 @@ def test_rank_accepts_fracs():
                 [Frac(Poly.one()), a * 1]]
     # det = a/a - 1 = 0
     assert rank(singular) == 1
-
-
-def test_left_kernel_simple():
-    # rows 0 and 1 are equal: kernel spans (1, -1, 0)
-    one, zero = Poly.one(), Poly.zero()
-    m = [[one, zero], [one, zero], [zero, one]]
-    basis = left_kernel_echelon(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] == Frac.of(1)
-    assert v[1] == Frac.of(-1)
-    assert v[2].is_zero()
-
-
-def test_left_kernel_rows_annihilate_matrix_random():
-    rng = random.Random(23)
-    syms = [sym("a"), sym("b")]
-    for _ in range(40):
-        nrows, ncols = rng.randint(2, 5), rng.randint(1, 4)
-        m = [[random_poly(rng, syms, max_terms=1, max_exp=1) for _ in range(ncols)]
-             for _ in range(nrows)]
-        basis = left_kernel_echelon(m)
-        # dimension check against rank
-        assert len(basis) == nrows - rank(m)
-        for v in basis:
-            for c in range(ncols):
-                acc = Frac.of(0)
-                for r in range(nrows):
-                    acc = acc + v[r] * Frac.of(m[r][c])
-                assert acc.is_zero()
-        # echelon shape: distinct leading coordinates, unit leading coeffs,
-        # last row has the smallest leading coordinate
-        leads = []
-        for v in basis:
-            lead = next(i for i in range(nrows) if not v[i].is_zero())
-            assert v[lead] == Frac.of(1)
-            leads.append(lead)
-        assert leads == sorted(leads) and len(set(leads)) == len(leads)
-
-
-def test_left_kernel_respects_coordinate_order():
-    one, zero = Poly.one(), Poly.zero()
-    # kernel of [[1],[1],[1]] is 2-dimensional
-    m = [[one], [one], [one]]
-    basis = left_kernel_echelon(m, coord_order=[2, 1, 0])
-    # largest coordinate is now index 2, so leading entries sit at 2 then 1
-    assert not basis[0][2].is_zero()
-    assert basis[1][2].is_zero() and not basis[1][1].is_zero()

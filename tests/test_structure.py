@@ -1,8 +1,9 @@
 """Pattern matchings, essentiality tests and subsystem extraction.
 
 Oracles here are deliberately naive: perfect matchings are enumerated with
-itertools.permutations and kernel rows are checked by multiplying against
-the symbolic pattern matrix.
+itertools.permutations, subsystem members are found from symbolic ranks,
+and kernel rows are checked by multiplying against the symbolic pattern
+matrix.
 """
 
 from __future__ import annotations
@@ -133,6 +134,48 @@ def test_two_dimensional_kernel_picks_the_bottom_row():
     cert = super_essential_subsystem(pattern_system(SE_DE_3))
     assert cert.members == (3, 4)
     assert cert.kernel_row[0].is_zero() and cert.kernel_row[1].is_zero()
+
+
+def oracle_members(pattern):
+    """Members of the subsystem by symbolic rank alone: the shortest row
+    suffix of rank below its size, then the rows whose removal restores
+    full rank."""
+    x = pattern.symbolic()
+    n = pattern.n
+    k = next(k for k in range(n, 0, -1) if rank(x[k - 1:]) < n - k + 1)
+    suffix = range(k, n + 1)
+    return tuple(r for r in suffix
+                 if rank([x[i - 1] for i in suffix if i != r]) == n - k)
+
+
+def test_subsystem_matches_rank_oracle_on_every_small_grid():
+    for n in range(1, 5):
+        m = n - 1
+        for bits in itertools.product((0, 1), repeat=n * m):
+            grid = [bits[i * m:(i + 1) * m] for i in range(n)]
+            sets = tuple(frozenset(j + 1 for j, bit in enumerate(row) if bit)
+                         for row in grid)
+            pat = PatternMatrix(sets, tuple(range(1, m + 1)))
+            cert = super_essential_subsystem(pat)
+            assert cert.members == oracle_members(pat), grid
+            assert cert.proper == (len(cert.members) != n)
+            k = cert.kernel_row
+            support = tuple(i + 1 for i in range(n) if not k[i].is_zero())
+            assert support == cert.members
+            assert k[cert.members[0] - 1] == Frac.of(1)
+            x = pat.symbolic()
+            for col in range(m):
+                total = Frac.of(0)
+                for row in cert.members:
+                    total = total + k[row - 1] * Frac(x[row - 1][col])
+                assert total.is_zero(), grid
+
+
+def test_dense_patterns_are_their_own_subsystem():
+    for n in (5, 12):
+        cert = super_essential_subsystem(as_pattern([[1] * (n - 1)] * n))
+        assert cert.members == tuple(range(1, n + 1))
+        assert not cert.proper
 
 
 def test_subsystem_requires_square_minus_one_profile():
