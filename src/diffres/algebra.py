@@ -632,16 +632,9 @@ class Frac:
 # determinants
 # ---------------------------------------------------------------------------
 
-_LAPLACE_BUDGET = 400_000
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _det_bareiss(m):
     n = len(m)
-    m = [[as_poly(e) for e in row] for row in m]
+    m = [list(row) for row in m]
     sign = 1
     prev = _ONE
     for k in range(n - 1):
@@ -676,7 +669,7 @@ def _det_bareiss(m):
     return det if sign > 0 else -det
 
 
-def _det_laplace(m, budget=_LAPLACE_BUDGET):
+def _det_laplace(m):
     n = len(m)
     memo = {}
 
@@ -687,8 +680,6 @@ def _det_laplace(m, budget=_LAPLACE_BUDGET):
         got = memo.get(key)
         if got is not None:
             return got
-        if len(memo) > budget:
-            raise _BudgetExceeded
         # pick the sparsest line among rows and columns
         best_row, best_row_cnt = None, None
         for pos, r in enumerate(rows):
@@ -729,30 +720,24 @@ def _det_laplace(m, budget=_LAPLACE_BUDGET):
     return minor(tuple(range(n)), tuple(range(n)))
 
 
-def determinant(m, method="auto"):
+def determinant(m):
     """Exact determinant of a square matrix of polynomials.
 
-    ``auto`` switches to memoized Laplace expansion when more than 40% of
-    the entries are zero (typical for the banded matrices built here) and
-    uses fraction-free Bareiss elimination otherwise.  Both routes are
-    exact and agree; the Laplace route falls back to Bareiss if its memo
-    outgrows a fixed budget.
+    The frames built here have the form [H | f], with the derived free
+    terms in the last column.  When every entry of H is a rational
+    constant, fraction-free Bareiss elimination pivots and divides by
+    constants only, so the last column stays linear in the free terms.
+    When H holds symbols, Bareiss's exact polynomial divisions blow up,
+    and memoized Laplace expansion along the sparsest line is used
+    instead.  Both routes are exact and agree.
     """
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise NonSquare(f"matrix is not square: {n} rows")
     m = [[as_poly(e) for e in row] for row in m]
-    if method == "bareiss":
+    if all(e.is_constant() for row in m for e in row[:-1]):
         return _det_bareiss(m)
-    if method == "laplace":
-        return _det_laplace(m, budget=1 << 62)
-    zero = sum(1 for row in m for e in row if e.is_zero())
-    if zero > 0.4 * n * n:
-        try:
-            return _det_laplace(m)
-        except _BudgetExceeded:
-            pass
-    return _det_bareiss(m)
+    return _det_laplace(m)
 
 
 # ---------------------------------------------------------------------------

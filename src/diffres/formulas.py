@@ -181,9 +181,8 @@ class FormulaMatrix:
         """The grid without the free-term column."""
         return [row[:-1] for row in self.entries]
 
-    def determinant(self, method="auto"):
-        return determinant([list(row) for row in self.entries],
-                           method=method)
+    def determinant(self):
+        return determinant(self.entries)
 
 
 def assemble(system, spec):

@@ -225,8 +225,8 @@ def perturbed_matrix(system, pert, spec=None, name="p"):
     return assemble(perturb_system(system, pert, name), spec)
 
 
-def perturbed_determinant(system, pert, spec=None, name="p", method="auto"):
-    return perturbed_matrix(system, pert, spec, name).determinant(method)
+def perturbed_determinant(system, pert, spec=None, name="p"):
+    return perturbed_matrix(system, pert, spec, name).determinant()
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +645,7 @@ def _membership_or_none(B, system, notes):
         return None
 
 
-def eliminate(system, method="auto", perturbation="auto"):
+def eliminate(system, perturbation="auto"):
     """Produce a nonzero eliminant of the parameter-free ideal.
 
     Restricts to the canonical super essential subsystem, tries the direct
@@ -674,7 +674,7 @@ def eliminate(system, method="auto", perturbation="auto"):
     if len(cert.members) != system.n:
         shown = ", ".join(f"f{i}" for i in cert.members)
         notes.append(f"working on the proper subsystem {{{shown}}}")
-    det = matrix.determinant(method)
+    det = matrix.determinant()
     if not det.is_zero():
         membership = _membership_or_none(det, sub, notes)
         return EliminationReport(
@@ -696,7 +696,7 @@ def eliminate(system, method="auto", perturbation="auto"):
     else:
         eps = default_perturbation(sub)
     shifted = perturb_system(sub, eps)
-    pdet = assemble(shifted, spec).determinant(method)
+    pdet = assemble(shifted, spec).determinant()
     if pdet.is_zero():
         raise AssumptionViolated(
             "the perturbed determinant vanished; no eliminant found")

@@ -193,7 +193,7 @@ class SubsystemCertificate:
         if len(x) == 1:
             minors = [Poly.one()]
         else:
-            minors = [determinant(x[:pos] + x[pos + 1:], "laplace")
+            minors = [determinant(x[:pos] + x[pos + 1:])
                       for pos in range(len(x))]
         row = [Frac.of(0)] * self.pattern.n
         for pos, i in enumerate(members):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from diffres import algebra
 from diffres.algebra import Poly, rank, sym
 from diffres.errors import (BetaOmegaViolated, ColumnMissing, NotDefinable,
                             NotDifferentiallyEssential)
@@ -17,6 +18,7 @@ from diffres.formulas import (FormulaMatrix, FormulaSpec, Kind, Verdict,
                               order_bounds, rank_homogeneous, spec_cf,
                               spec_cres, spec_fres, spec_general,
                               symbol_matrix, zero_columns)
+from diffres.perturb import default_perturbation, perturbed_matrix
 from diffres.systems import (LinearSystem, linear_poly, param_sym,
                              specialize)
 
@@ -221,6 +223,32 @@ def test_elimination_output_commutes_with_specialization():
 
 def test_elimination_output_can_vanish():
     assert dfres(four_eq_system(first_leading_coeff=1)).is_zero()
+
+
+def test_determinant_route_follows_the_frame(monkeypatch):
+    """Bareiss when only the free-term column holds symbols, Laplace
+    otherwise, whatever the share of zeros."""
+    calls = []
+    for name in ("_det_bareiss", "_det_laplace"):
+        def recorded(m, name=name, route=getattr(algebra, name)):
+            calls.append(name)
+            return route(m)
+        monkeypatch.setattr(algebra, name, recorded)
+
+    def routes(matrix):
+        calls.clear()
+        matrix.determinant()
+        return calls
+
+    numeric = assemble(four_eq_system(5), spec_fres(four_eq_system(5)))
+    zeros = sum(e.is_zero() for row in numeric.entries for e in row)
+    assert numeric.side == 18 and zeros > 0.75 * 18 * 18
+    assert routes(numeric) == ["_det_bareiss"]
+    symbolic = assemble(motivation_system(), spec_fres(motivation_system()))
+    assert routes(symbolic) == ["_det_laplace"]
+    degenerate = four_eq_system(1)
+    perturbed = perturbed_matrix(degenerate, default_perturbation(degenerate))
+    assert routes(perturbed) == ["_det_laplace"]
 
 
 def test_homogeneous_rank_detects_degeneracy():
