@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 
 from .errors import DivisionByZero, NonSquare, NotDivisible
 
@@ -174,10 +175,31 @@ def _mono_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _merge(out, pairs):
+    """Add (monomial, coefficient) pairs into the term dict ``out`` in place,
+    dropping every coefficient that cancels, and return ``out`` as a Poly."""
+    for m, c in pairs:
+        v = out.get(m)
+        if v is None:
+            out[m] = c
+        else:
+            v = v + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    p = Poly.__new__(Poly)
+    p.terms = out
+    return p
+
+
 class Poly:
     """Sparse multivariate polynomial over Q with Sym indeterminates.
 
     Instances are treated as immutable; all operations return new objects.
+    A sum of many polynomials goes through ``Poly.sum``, which accumulates
+    every summand into one fresh term dict instead of copying a growing
+    partial sum at each ``+``.
     """
 
     __slots__ = ("terms",)
@@ -207,6 +229,17 @@ class Poly:
     def var(cls, s):
         return cls({((s, 1),): Fraction(1)})
 
+    @staticmethod
+    def sum(polys):
+        """Sum of polynomials (or scalars and symbols), left to right.
+
+        The first summand is copied, never merged into or returned, and the
+        rest are merged into that copy."""
+        polys = iter(polys)
+        out = dict(as_poly(next(polys, _ZERO)).terms)
+        return _merge(out, chain.from_iterable(as_poly(p).terms.items()
+                                               for p in polys))
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
@@ -230,20 +263,7 @@ class Poly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            if v is None:
-                out[m] = c
-            else:
-                v = v + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _merge(dict(self.terms), other.terms.items())
 
     __radd__ = __add__
 
@@ -271,6 +291,8 @@ class Poly:
             return _ZERO
         if len(self.terms) > len(other.terms):
             self, other = other, self
+        # Inline rather than a generator into _merge: this loop is the kernel
+        # of Bareiss, where feeding _merge measured about 10 % slower.
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -316,30 +338,18 @@ class Poly:
 
     def derive(self):
         """Formal derivative; constant symbols vanish, others gain order."""
-        out = {}
-        for mono, c in self.terms.items():
-            for idx, (s, e) in enumerate(mono):
-                if s.constant:
-                    continue
-                rest = list(mono)
-                if e == 1:
-                    del rest[idx]
-                else:
-                    rest[idx] = (s, e - 1)
-                m = _mono_mul(tuple(rest), ((s.derived(), 1),))
-                v = out.get(m)
-                coeff = c * e
-                if v is None:
-                    out[m] = coeff
-                else:
-                    v = v + coeff
-                    if v:
-                        out[m] = v
+        def pairs():
+            for mono, c in self.terms.items():
+                for idx, (s, e) in enumerate(mono):
+                    if s.constant:
+                        continue
+                    rest = list(mono)
+                    if e == 1:
+                        del rest[idx]
                     else:
-                        del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+                        rest[idx] = (s, e - 1)
+                    yield _mono_mul(tuple(rest), ((s.derived(), 1),)), c * e
+        return _merge({}, pairs())
 
     def derive_n(self, k):
         p = self
@@ -408,8 +418,7 @@ class Poly:
                 cache[s.key] = got
             return got
 
-        out = _ZERO
-        for mono, c in self.terms.items():
+        def image_of_term(mono, c):
             keep = []
             factor = None
             for s, e in mono:
@@ -419,8 +428,10 @@ class Poly:
                 else:
                     keep.append((s, e))
             term = Poly({tuple(keep): c})
-            out = out + (term * factor if factor is not None else term)
-        return out
+            return term * factor if factor is not None else term
+
+        return Poly.sum(image_of_term(mono, c)
+                        for mono, c in self.terms.items())
 
     def evaluate(self, values):
         """Full numeric evaluation; ``values`` maps Sym -> Fraction."""
@@ -505,7 +516,7 @@ def exact_div(f, g):
         return f * (1 / g.constant_value())
     gm, gc = g.leading()
     q = {}
-    rem = f
+    rem = Poly(f.terms)  # private copy, reduced in place
     while not rem.is_zero():
         rm, rc = rem.leading()
         if not _mono_divides(gm, rm):
@@ -513,7 +524,8 @@ def exact_div(f, g):
         m = _mono_div(rm, gm)
         c = rc / gc
         q[m] = q.get(m, Fraction(0)) + c
-        rem = rem - Poly({m: c}) * g
+        _merge(rem.terms, ((_mono_mul(m, m2), -(c * c2))
+                           for m2, c2 in g.terms.items()))
     return Poly(q)
 
 
@@ -673,6 +685,13 @@ def _det_laplace(m):
     n = len(m)
     memo = {}
 
+    def cofactor_terms(line):
+        """Signed products entry * minor along the nonzero entries of one
+        row or column, given as (parity, entry, minor rows, minor columns)."""
+        for parity, e, sub_rows, sub_cols in line:
+            term = e * minor(sub_rows, sub_cols)
+            yield -term if parity % 2 else term
+
     def minor(rows, cols):
         if len(rows) == 1:
             return m[rows[0]][cols[0]]
@@ -691,30 +710,19 @@ def _det_laplace(m):
             cnt = sum(1 for r in rows if not m[r][c].is_zero())
             if best_col_cnt is None or cnt < best_col_cnt:
                 best_col, best_col_cnt = pos, cnt
-        det = _ZERO
         if best_row_cnt <= best_col_cnt:
-            pos = best_row
-            r = rows[pos]
-            sub_rows = rows[:pos] + rows[pos + 1:]
-            for cpos, c in enumerate(cols):
-                e = m[r][c]
-                if e.is_zero():
-                    continue
-                sub = minor(sub_rows, cols[:cpos] + cols[cpos + 1:])
-                term = e * sub
-                det = det + (term if (pos + cpos) % 2 == 0 else -term)
+            r = rows[best_row]
+            sub_rows = rows[:best_row] + rows[best_row + 1:]
+            line = [(best_row + cpos, m[r][c], sub_rows,
+                     cols[:cpos] + cols[cpos + 1:])
+                    for cpos, c in enumerate(cols) if not m[r][c].is_zero()]
         else:
-            pos = best_col
-            c = cols[pos]
-            sub_cols = cols[:pos] + cols[pos + 1:]
-            for rpos, r in enumerate(rows):
-                e = m[r][c]
-                if e.is_zero():
-                    continue
-                sub = minor(rows[:rpos] + rows[rpos + 1:], sub_cols)
-                term = e * sub
-                det = det + (term if (rpos + pos) % 2 == 0 else -term)
-        memo[key] = det
+            c = cols[best_col]
+            sub_cols = cols[:best_col] + cols[best_col + 1:]
+            line = [(rpos + best_col, m[r][c], rows[:rpos] + rows[rpos + 1:],
+                     sub_cols)
+                    for rpos, r in enumerate(rows) if not m[r][c].is_zero()]
+        det = memo[key] = Poly.sum(cofactor_terms(line))
         return det
 
     return minor(tuple(range(n)), tuple(range(n)))

@@ -251,11 +251,8 @@ def lowest_p_coefficient(f, name="p"):
                 rest.append((s, k))
         split.append((e, tuple(rest), c))
         lowest = e if lowest is None else min(lowest, e)
-    out = Poly.zero()
-    for e, rest, c in split:
-        if e == lowest:
-            out = out + Poly({rest: c})
-    return lowest, out
+    # distinct monomials of f stay distinct once the lowest power is removed
+    return lowest, Poly({rest: c for e, rest, c in split if e == lowest})
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +267,9 @@ class OperatorDecomposition:
     operators: dict
 
     def expand(self):
-        out = Poly.zero()
-        for name, op in self.operators.items():
-            for k, c in op.coeffs.items():
-                out = out + c * Poly.var(sym(name, k))
-        return out
+        return Poly.sum(c * Poly.var(sym(name, k))
+                        for name, op in self.operators.items()
+                        for k, c in op.coeffs.items())
 
 
 def decompose_linear(B, names):
@@ -296,10 +291,11 @@ def decompose_linear(B, names):
             raise NotLinear("a term has degree two in the designated symbols")
         s = hits[0][0]
         rest = tuple(p for p in mono if p[0].name not in wanted)
-        bucket = table[s.name]
-        bucket[s.order] = bucket.get(s.order, Poly.zero()) + Poly({rest: coeff})
+        # one bucket per derivative of one name: the rests are distinct
+        table[s.name].setdefault(s.order, {})[rest] = coeff
     return OperatorDecomposition(
-        {name: DiffOperator(table[name]) for name in names})
+        {name: DiffOperator({k: Poly(t) for k, t in table[name].items()})
+         for name in names})
 
 
 def compose(outer, inner):
@@ -525,9 +521,8 @@ def id_primitive_part(B, names):
                 exact_div(common, c.den)
             except NotDivisible:
                 common = common * c.den
-    out = Poly.zero()
-    for name, k, c in pending:
-        out = out + c.num * exact_div(common, c.den) * Poly.var(sym(name, k))
+    out = Poly.sum(c.num * exact_div(common, c.den) * Poly.var(sym(name, k))
+                   for name, k, c in pending)
     return _normalize_linear(out, names)
 
 
@@ -571,9 +566,8 @@ def extract_resultant(det, names):
         except NotDivisible:
             break
         coeffs = divided
-    out = Poly.zero()
-    for (name, k), c in coeffs.items():
-        out = out + c * Poly.var(sym(name, k))
+    out = Poly.sum(c * Poly.var(sym(name, k))
+                   for (name, k), c in coeffs.items())
     return _normalize_linear(out, names)
 
 

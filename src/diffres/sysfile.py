@@ -229,7 +229,7 @@ def _symbol_of(tok, order, scope):
 
 
 def _equation_from_terms(terms, scope, context):
-    free = Poly.zero()
+    free = []
     ops = {}
     for sign, factors in terms:
         coeff = as_poly(Fraction(sign))
@@ -251,25 +251,24 @@ def _equation_from_terms(terms, scope, context):
             ops.setdefault(j, {})[order] = (
                 ops.get(j, {}).get(order, Poly.zero()) + coeff)
         else:
-            free = free + coeff
-    return LinearDiffPoly(free, {j: DiffOperator(ks) for j, ks in ops.items()})
+            free.append(coeff)
+    return LinearDiffPoly(Poly.sum(free),
+                          {j: DiffOperator(ks) for j, ks in ops.items()})
 
 
 def _poly_from_terms(terms, scope):
-    total = Poly.zero()
-    for sign, factors in terms:
-        piece = as_poly(Fraction(sign))
+    def piece(sign, factors):
+        out = as_poly(Fraction(sign))
         for factor in factors:
             if isinstance(factor, Fraction):
-                piece = piece * as_poly(factor)
+                out = out * as_poly(factor)
             elif factor[0].text in scope.params:
                 tok, order = factor
-                piece = piece * Poly.var(param_sym(scope.params[tok.text],
-                                                   order))
+                out = out * Poly.var(param_sym(scope.params[tok.text], order))
             else:
-                piece = piece * Poly.var(_symbol_of(*factor, scope))
-        total = total + piece
-    return total
+                out = out * Poly.var(_symbol_of(*factor, scope))
+        return out
+    return Poly.sum(piece(sign, factors) for sign, factors in terms)
 
 
 # ---------------------------------------------------------------------------

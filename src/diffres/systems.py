@@ -42,8 +42,8 @@ class DiffOperator:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = {k: as_poly(c) for k, c in coeffs.items()
-                       if not as_poly(c).is_zero()}
+        self.coeffs = {k: p for k, c in coeffs.items()
+                       if not (p := as_poly(c)).is_zero()}
         if any(k < 0 for k in self.coeffs):
             raise ValueError("negative derivative order in operator")
 
@@ -93,10 +93,8 @@ class DiffOperator:
 
     def apply(self, j):
         """Expand the operator applied to u_j into a polynomial."""
-        out = Poly.zero()
-        for k, c in self.coeffs.items():
-            out = out + c * Poly.var(param_sym(j, k))
-        return out
+        return Poly.sum(c * Poly.var(param_sym(j, k))
+                        for k, c in self.coeffs.items())
 
     def __eq__(self, other):
         return isinstance(other, DiffOperator) and self.coeffs == other.coeffs
@@ -143,17 +141,11 @@ class LinearDiffPoly:
                               {j: op.derive() for j, op in self.ops.items()})
 
     def to_poly(self):
-        out = self.free
-        for j, op in self.ops.items():
-            out = out + op.apply(j)
-        return out
+        return self.free + self.param_part()
 
     def param_part(self):
         """to_poly() without the free term."""
-        out = Poly.zero()
-        for j, op in self.ops.items():
-            out = out + op.apply(j)
-        return out
+        return Poly.sum(op.apply(j) for j, op in self.ops.items())
 
     def __eq__(self, other):
         return (isinstance(other, LinearDiffPoly)

@@ -111,6 +111,43 @@ def test_derive_leibniz_random():
         assert lhs == rhs
 
 
+def test_poly_sum_matches_a_fold_of_add_random():
+    rng = random.Random(23)
+    syms = [sym("a"), sym("b", 1), const_sym("c")]
+    for trial in range(300):
+        polys = [random_poly(rng, syms) for _ in range(rng.randint(0, 6))]
+        if trial % 3 == 0:
+            # append the negation of every summand, so the sum cancels to zero
+            back = list(polys)
+            rng.shuffle(back)
+            polys += [-p for p in back]
+        before = [list(p.terms.items()) for p in polys]
+        total = Poly.sum(polys)
+        folded = Poly.zero()
+        for p in polys:
+            folded = folded + p
+        assert total == folded
+        assert list(total.terms.items()) == list(folded.terms.items())
+        assert all(total.terms.values())
+        if trial % 3 == 0:
+            assert total.is_zero()
+        assert [list(p.terms.items()) for p in polys] == before
+        assert all(total.terms is not p.terms for p in polys)
+
+
+def test_poly_sum_edge_cases():
+    x, y = Poly.var(sym("x")), Poly.var(sym("y"))
+    assert Poly.sum([]) == Poly.zero()
+    assert Poly.sum(iter([])).is_zero()
+    assert Poly.sum([x + y, -x]).terms == y.terms
+    assert Poly.sum([2, Fraction(1, 2), sym("x"), x]) == 2 * x + Fraction(5, 2)
+    p = x + y
+    alone = Poly.sum([p])
+    assert alone == p and alone.terms is not p.terms
+    doubled = Poly.sum([p, p])
+    assert doubled == 2 * p and p == x + y
+
+
 def test_substitute_consistent_across_derivatives():
     c = sym("c")
     x = sym("x")
