@@ -644,41 +644,60 @@ class Frac:
 # determinants
 # ---------------------------------------------------------------------------
 
-def _det_bareiss(m):
-    n = len(m)
-    m = [list(row) for row in m]
+def _bareiss(m):
+    """Fraction-free echelon form of a matrix of polynomials, after
+    Bareiss (1968): (rank, signed last pivot).
+
+    Columns are scanned left to right; each takes as pivot its nonzero
+    entry of least total degree among the rows not used yet, and a column
+    without one is skipped.  Every entry produced is then a minor of the
+    input, so each division by the previous pivot is exact.  When the rank
+    equals the number of rows and columns, the signed last pivot is the
+    determinant.
+    """
+    rows = [list(row) for row in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     sign = 1
     prev = _ONE
-    for k in range(n - 1):
-        # pivot: nonzero entry of least total degree in column k
+    k = 0  # rows used as pivots so far
+    for c in range(ncols):
+        if k == nrows:
+            break
         best = None
-        for r in range(k, n):
-            e = m[r][k]
+        for r in range(k, nrows):
+            e = rows[r][c]
             if e.is_zero():
                 continue
             d = e.total_degree()
             if best is None or d < best[0]:
                 best = (d, r)
         if best is None:
-            return _ZERO
+            continue
         r = best[1]
         if r != k:
-            m[k], m[r] = m[r], m[k]
+            rows[k], rows[r] = rows[r], rows[k]
             sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            rik = m[i][k]
-            if rik.is_zero():
-                for j in range(k + 1, n):
-                    if not m[i][j].is_zero():
-                        m[i][j] = exact_div(pivot * m[i][j], prev)
+        pivot = rows[k][c]
+        for i in range(k + 1, nrows):
+            row = rows[i]
+            ric = row[c]
+            if ric.is_zero():
+                for j in range(c + 1, ncols):
+                    if not row[j].is_zero():
+                        row[j] = exact_div(pivot * row[j], prev)
             else:
-                for j in range(k + 1, n):
-                    m[i][j] = exact_div(pivot * m[i][j] - rik * m[k][j], prev)
-            m[i][k] = _ZERO
+                for j in range(c + 1, ncols):
+                    row[j] = exact_div(pivot * row[j] - ric * rows[k][j], prev)
+            row[c] = _ZERO
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+        k += 1
+    return k, (prev if sign > 0 else -prev)
+
+
+def _det_bareiss(m):
+    pivots, det = _bareiss(m)
+    return det if pivots == len(m) else _ZERO
 
 
 def _det_laplace(m):
@@ -753,82 +772,13 @@ def determinant(m):
 # ---------------------------------------------------------------------------
 
 
-def _poly_rows(m):
-    """Clear denominators row by row; the rank is unaffected."""
-    rows = []
-    for row in m:
-        if any(isinstance(e, Frac) for e in row):
-            row = [Frac.of(e) for e in row]
-            common = _ONE
-            for e in row:
-                common = common * e.den
-            rows.append([e.num * exact_div(common, e.den) for e in row])
-        else:
-            rows.append([as_poly(e) for e in row])
-    return rows
-
-
-def _strip_row(row):
-    """Divide a polynomial row by its rational and monomial content."""
-    nz = [e for e in row if not e.is_zero()]
-    if not nz:
-        return row
-    c = nz[0].rational_content()
-    g = nz[0].monomial_content()
-    for e in nz[1:]:
-        rc = e.rational_content()
-        c = Fraction(math.gcd(c.numerator, rc.numerator),
-                     (c.denominator * rc.denominator
-                      // math.gcd(c.denominator, rc.denominator)))
-        g = _mono_gcd(g, e.monomial_content())
-    if c == 1 and not g:
-        return row
-    out = []
-    for e in row:
-        if e.is_zero():
-            out.append(e)
-            continue
-        terms = {(_mono_div(m, g) if g else m): cf / c for m, cf in e.terms.items()}
-        out.append(Poly(terms))
-    return out
-
-
 def rank(m):
-    """Rank over the fraction field by fraction-free elimination.
+    """Rank over the fraction field of a matrix of polynomials (or scalars
+    and symbols; a ``Frac`` entry raises TypeError).
 
-    The pivot is always a structurally nonzero entry of least total degree.
+    It runs the fraction-free Bareiss elimination that also gives the
+    determinant of a frame with a numeric H: pivots of least total degree,
+    column by column, with exact division by the previous pivot.  The rank
+    is the number of pivots found.
     """
-    rows = _poly_rows(m)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    live_cols = list(range(ncols))
-    r = 0
-    while rows and live_cols:
-        best = None
-        for ri, row in enumerate(rows):
-            for ci in live_cols:
-                e = row[ci]
-                if e.is_zero():
-                    continue
-                d = e.total_degree()
-                if best is None or d < best[0]:
-                    best = (d, ri, ci)
-        if best is None:
-            break
-        _, ri, ci = best
-        pivot_row = rows.pop(ri)
-        pivot = pivot_row[ci]
-        nxt = []
-        for row in rows:
-            e = row[ci]
-            if e.is_zero():
-                nxt.append(row)
-            else:
-                nxt.append(_strip_row([pivot * a - e * b
-                                       for a, b in zip(row, pivot_row)]))
-        rows = nxt
-        live_cols.remove(ci)
-        r += 1
-    return r
-
+    return _bareiss([[as_poly(e) for e in row] for row in m])[0]

@@ -301,6 +301,17 @@ def _int_tuple(text):
             f"expected comma-separated integers, got '{text}'")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer, got '{text}'")
+
+
 def _build():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="system file to read")
@@ -337,7 +348,7 @@ def _build():
     p = sub.add_parser("det", parents=[common, formula],
                        help="exact determinant or a nonzero certificate")
     p.add_argument("--mode", choices=("exact", "random"), default="exact")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_det)
 

@@ -6,6 +6,7 @@ shares no code with the library paths it checks.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -293,13 +294,53 @@ def test_rank_symbolic_independent_rows():
     assert rank([[a, b], [a * 2, b * 2]]) == 1
 
 
-def test_rank_accepts_fracs():
+def test_rank_with_denominators_cleared_and_frac_rejected():
+    """rank works over polynomials: rows with fractions are cleared of
+    denominators first, and a Frac entry is refused outright."""
     a = Poly.var(sym("a"))
-    rows = [[Frac(Poly.one(), a), Frac(Poly.one())],
-            [Frac(Poly.one()), a * 2]]
-    # det = 2 - 1 = 1, so full rank
-    assert rank(rows) == 2
-    singular = [[Frac(Poly.one(), a), Frac(Poly.one())],
-                [Frac(Poly.one()), a * 1]]
-    # det = a/a - 1 = 0
-    assert rank(singular) == 1
+    one = Poly.one()
+    # rows [1/a, 1], [1, 2a] with the first multiplied by a
+    assert rank([[one, a], [one, a * 2]]) == 2
+    # rows [1/a, 1], [1, a]: det = a/a - 1 = 0
+    assert rank([[one, a], [one, a]]) == 1
+    with pytest.raises(TypeError):
+        rank([[Frac(one, a), one], [one, a]])
+
+
+def rank_by_minors(m):
+    """Oracle: the largest k with a nonzero k x k minor (cofactor_det)."""
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if not cofactor_det([[m[r][c] for c in cs] for r in rs]).is_zero():
+                    return k
+    return 0
+
+
+def test_rank_matches_minor_oracle_random():
+    rng = random.Random(23)
+    syms = [sym("a"), sym("b"), sym("c", 1)]
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6) if r + c < 10]
+    for trial in range(120):
+        rows, cols = rng.choice(shapes)
+        if trial % 2:
+            m = [[random_poly(rng, syms, max_terms=2, max_exp=1)
+                  for _ in range(cols)] for _ in range(rows)]
+        else:
+            m = [[Poly.const(rng.randint(-2, 2)) for _ in range(cols)]
+                 for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            i, j = rng.sample(range(rows), 2)
+            m[i] = list(m[j])                       # a repeated row
+        if rows > 2 and rng.random() < 0.4:
+            i, j, k = rng.sample(range(rows), 3)    # a combination of two
+            s, t = rng.choice(syms), rng.randint(-2, 2)
+            m[i] = [x * Poly.var(s) + y * t for x, y in zip(m[j], m[k])]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [Poly.zero()] * cols
+        if rng.random() < 0.3:
+            c = rng.randrange(cols)
+            for row in m:
+                row[c] = Poly.zero()
+        assert rank(m) == rank_by_minors(m)

@@ -202,6 +202,19 @@ def test_det_random_certificate(sysdir, capsys):
     assert payload["certificate"]["verdict"] == "zero-proven"
 
 
+@pytest.mark.parametrize("trials", ["0", "-4", "two"])
+def test_det_random_rejects_trials_below_one(sysdir, capsys, trials):
+    with pytest.raises(SystemExit) as stop:
+        main(["det", str(sysdir / "regular.sys"), "--mode", "random",
+              "--trials", trials, "--format", "json"])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ArgumentError"
+    assert "--trials" in error["message"]
+
+
 def test_subsystem_whole_system(sysdir, capsys):
     code, out, _ = run(capsys, "subsystem", sysdir / "regular.sys")
     assert code == 0

@@ -19,8 +19,8 @@ from diffres.formulas import (FormulaMatrix, FormulaSpec, Kind, Verdict,
                               spec_cres, spec_fres, spec_general,
                               symbol_matrix, zero_columns)
 from diffres.perturb import default_perturbation, perturbed_matrix
-from diffres.systems import (LinearSystem, linear_poly, param_sym,
-                             specialize)
+from diffres.systems import (LinearDiffPoly, LinearSystem, linear_poly,
+                             param_sym, specialize)
 
 from conftest import (GENERIC_FOUR_VALUES, SE_DE_2, SE_DE_3, four_eq_system,
                       generic_four_system, generic_three_system,
@@ -259,6 +259,22 @@ def test_homogeneous_rank_detects_degeneracy():
     bad = assemble(bad_system, spec_fres(bad_system))
     assert rank_homogeneous(bad) < 17
     assert co_order(bad) >= 1
+
+
+def test_co_order_of_a_symbolic_rank_deficient_frame():
+    """f3 is D f1 + f2 in its parameter part, with symbolic coefficients.
+    The homogeneous part loses rank 3, so its columns are dependent and
+    the frame determinant vanishes (not computed here: Laplace expansion
+    of this frame takes seconds)."""
+    f1 = linear_poly(v("c1"), {1: {0: v("a"), 1: v("b")}, 2: {1: v("e")}})
+    f2 = linear_poly(v("c2"), {1: {1: v("g")}, 2: {0: v("h"), 2: v("k")}})
+    df1 = LinearDiffPoly(Poly.zero(), f1.ops).derive()
+    f3 = LinearDiffPoly(v("c3"), {j: df1.ops[j] + f2.ops[j] for j in (1, 2)})
+    system = LinearSystem([f1, f2, f3], params=2)
+    matrix = assemble(system, spec_fres(system))
+    assert matrix.side == 13
+    assert co_order(matrix) == 3
+    assert rank_homogeneous(matrix) == 9
 
 
 def test_symbol_matrix_of_generic_system():
