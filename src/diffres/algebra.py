@@ -22,30 +22,28 @@ from .errors import DivisionByZero, NonSquare, NotDivisible
 class Sym:
     """A named indeterminate together with a formal derivative order.
 
-    ``Sym('a', 2)`` stands for the second derivative of a.  Symbols marked
+    ``sym('a', 2)`` stands for the second derivative of a.  Symbols marked
     constant have derivative zero; deriving them is the caller's bug.
+
+    ``sym`` is the only constructor and interns every symbol, so equality
+    and hashing are identity; copies and pickles return the interned one.
     """
 
-    __slots__ = ("name", "order", "constant", "key", "_hash")
+    __slots__ = ("name", "order", "constant", "key")
 
     def __init__(self, name, order=0, constant=False):
         self.name = name
         self.order = order
         self.constant = constant
         self.key = (name, order, constant)
-        self._hash = hash(self.key)
 
     def derived(self, k=1):
         if self.constant:
             raise ValueError(f"constant symbol {self.name} has no derivative")
         return sym(self.name, self.order + k, False)
 
-    def __eq__(self, other):
-        return (self is other) or (
-            isinstance(other, Sym) and self.key == other.key)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return sym, self.key
 
     def __lt__(self, other):
         return self.key < other.key
@@ -60,7 +58,7 @@ _SYM_CACHE: dict[tuple, Sym] = {}
 
 
 def sym(name, order=0, constant=False):
-    """Interning factory; the normal way to obtain a Sym."""
+    """Interning factory; the only way to obtain a Sym."""
     k = (name, order, constant)
     s = _SYM_CACHE.get(k)
     if s is None:
@@ -89,7 +87,7 @@ def _mono_mul(a, b):
     while i < len(a) and j < len(b):
         sa, ea = a[i]
         sb, eb = b[j]
-        if sa.key == sb.key:
+        if sa is sb:
             out.append((sa, ea + eb))
             i += 1
             j += 1
@@ -104,25 +102,17 @@ def _mono_mul(a, b):
     return tuple(out)
 
 
-def _mono_divides(a, b):
-    """Does monomial a divide b?"""
-    exps = dict((s.key, e) for s, e in b)
-    for s, e in a:
-        if exps.get(s.key, 0) < e:
-            return False
-    return True
-
-
 def _mono_div(b, a):
-    """b / a, assuming a divides b."""
-    rem = dict((s.key, (s, e)) for s, e in b)
-    for s, e in a:
-        sb, eb = rem[s.key]
-        if eb == e:
-            del rem[s.key]
-        else:
-            rem[s.key] = (sb, eb - e)
-    return tuple(rem[k] for k in sorted(rem))
+    """b / a in b's order, or None when a does not divide b."""
+    need = dict(a)
+    out = []
+    for s, e in b:
+        e -= need.pop(s, 0)
+        if e < 0:
+            return None
+        if e:
+            out.append((s, e))
+    return None if need else tuple(out)
 
 
 def _mono_cmp(a, b):
@@ -133,7 +123,7 @@ def _mono_cmp(a, b):
     while i < len(a) and j < len(b):
         sa, ea = a[i]
         sb, eb = b[j]
-        if sa.key == sb.key:
+        if sa is sb:
             if ea != eb:
                 return 1 if ea > eb else -1
             i += 1
@@ -159,7 +149,7 @@ def _mono_gcd(a, b):
     while i < len(a) and j < len(b):
         sa, ea = a[i]
         sb, eb = b[j]
-        if sa.key == sb.key:
+        if sa is sb:
             out.append((sa, min(ea, eb)))
             i += 1
             j += 1
@@ -411,11 +401,11 @@ class Poly:
         cache = {}
 
         def image_of(s):
-            got = cache.get(s.key)
+            got = cache.get(s)
             if got is None:
                 base = as_poly(images[s.name])
                 got = base.derive_n(s.order)
-                cache[s.key] = got
+                cache[s] = got
             return got
 
         def image_of_term(mono, c):
@@ -519,9 +509,9 @@ def exact_div(f, g):
     rem = Poly(f.terms)  # private copy, reduced in place
     while not rem.is_zero():
         rm, rc = rem.leading()
-        if not _mono_divides(gm, rm):
-            raise NotDivisible("leading term not divisible")
         m = _mono_div(rm, gm)
+        if m is None:
+            raise NotDivisible("leading term not divisible")
         c = rc / gc
         q[m] = q.get(m, Fraction(0)) + c
         _merge(rem.terms, ((_mono_mul(m, m2), -(c * c2))

@@ -13,6 +13,7 @@ JSON object per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -312,6 +313,7 @@ def _positive_int(text):
         f"expected a positive integer, got '{text}'")
 
 
+@functools.cache
 def _build():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="system file to read")

@@ -57,6 +57,8 @@ from .systems import (
 # perturbations
 # ---------------------------------------------------------------------------
 
+P_NAME = "p"  # the perturbation variable, a constant symbol
+
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -191,8 +193,8 @@ def phi_perturbation(beta, omega):
     return Perturbation(tuple(terms))
 
 
-def perturb_system(system, pert, name="p"):
-    """Subtract ``name`` times each perturbation term from the polynomials."""
+def perturb_system(system, pert):
+    """Subtract p times each perturbation term from the polynomials."""
     if pert.n != system.n:
         raise ValueError(
             f"perturbation has {pert.n} terms for {system.n} polynomials")
@@ -202,9 +204,9 @@ def perturb_system(system, pert, name="p"):
         for op in f.ops.values():
             for c in op.coeffs.values():
                 used.update(s.name for s in c.symbols())
-    if name in used:
-        raise SymbolClash(f"symbol {name!r} already appears in the system")
-    p = Poly.var(const_sym(name))
+    if P_NAME in used:
+        raise SymbolClash(f"symbol {P_NAME!r} already appears in the system")
+    p = Poly.var(const_sym(P_NAME))
     polys = []
     for f, t in zip(system.polys, pert.terms):
         ops = dict(f.ops)
@@ -215,18 +217,18 @@ def perturb_system(system, pert, name="p"):
     return LinearSystem(polys, system.params)
 
 
-def perturbed_matrix(system, pert, spec=None, name="p"):
+def perturbed_matrix(system, pert, spec=None):
     """The square matrix of the perturbed system on the original frame."""
     if not is_super_essential(system):
         raise NotSuperEssential(
             "perturbed determinants need a super essential system")
     if spec is None:
         spec = spec_fres(system)
-    return assemble(perturb_system(system, pert, name), spec)
+    return assemble(perturb_system(system, pert), spec)
 
 
-def perturbed_determinant(system, pert, spec=None, name="p"):
-    return perturbed_matrix(system, pert, spec, name).determinant()
+def perturbed_determinant(system, pert, spec=None):
+    return perturbed_matrix(system, pert, spec).determinant()
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +236,8 @@ def perturbed_determinant(system, pert, spec=None, name="p"):
 # ---------------------------------------------------------------------------
 
 
-def lowest_p_coefficient(f, name="p"):
-    """(d, A) with f = A * name^d + higher powers of ``name``, A free of it."""
+def lowest_p_coefficient(f):
+    """(d, A) with f = A * p^d + higher powers of p, A free of p."""
     f = as_poly(f)
     if f.is_zero():
         raise ZeroInput("the zero polynomial has no lowest coefficient")
@@ -245,7 +247,7 @@ def lowest_p_coefficient(f, name="p"):
         e = 0
         rest = []
         for s, k in mono:
-            if s.name == name and s.order == 0:
+            if s.name == P_NAME and s.order == 0:
                 e = k
             else:
                 rest.append((s, k))

@@ -2,10 +2,10 @@
 
 The pattern matrix X has one row per polynomial and one column per active
 parameter, with a fresh symbol x{i}_{j} wherever the operator L_{i,j} is
-nonzero.  Matchings of the row-deleted patterns decide whether a system is
-differentially essential (some row-deleted perfect matching) or super
-essential (all of them).  Matchings also find the super essential
-subsystem: by Edmonds (1967) the rank of X is the size of a maximum matching.
+nonzero.  Differential essentiality (some row-deleted perfect matching),
+super essentiality (all of them) and the super essential subsystem are read
+from one maximum matching and its alternating paths; by Edmonds (1967) the
+rank of X is the size of a maximum matching.
 """
 
 from __future__ import annotations
@@ -141,19 +141,40 @@ def row_deleted_matching(pattern, i, prefer="least"):
     return _canonical_matching(rows, adjacency, prefer=prefer)
 
 
+def _reached(root, adjacency, match):
+    """Rows reached from the unmatched ``root`` by alternating paths of the
+    maximum matching ``match`` (row -> column): exactly the rows whose
+    removal leaves ``root`` and the matched rows perfectly matchable."""
+    owner = {c: r for r, c in match.items()}
+    reached = {root}
+    frontier = [root]
+    while frontier:
+        for c in adjacency[frontier.pop()]:
+            r = owner[c]
+            if r not in reached:
+                reached.add(r)
+                frontier.append(r)
+    return reached
+
+
 def is_differentially_essential(system):
-    """Some row-deleted matching exists (equivalently the pattern has
-    structural rank n-1)."""
+    """Some row-deleted matching exists: the pattern has structural rank
+    at least n-1."""
     pattern = pattern_matrix(system)
-    return any(row_deleted_matching(pattern, i) is not None
-               for i in range(1, pattern.n + 1))
+    return structural_rank(pattern) >= pattern.n - 1
 
 
 def is_super_essential(system):
-    """Every row-deleted matching exists."""
+    """Every row-deleted matching exists: a maximum matching misses no row,
+    or one row that alternating paths link to all the others."""
     pattern = pattern_matrix(system)
-    return all(row_deleted_matching(pattern, i) is not None
-               for i in range(1, pattern.n + 1))
+    rows = range(1, pattern.n + 1)
+    adjacency = {r: pattern.rows[r - 1] for r in rows}
+    match = _matching(rows, adjacency)
+    if len(match) != pattern.n - 1:
+        return len(match) == pattern.n
+    root = next(r for r in rows if r not in match)
+    return len(_reached(root, adjacency, match)) == pattern.n
 
 
 def structural_rank(pattern):
@@ -171,12 +192,19 @@ def structural_rank(pattern):
 @dataclass
 class SubsystemCertificate:
     members: tuple          # 1-based polynomial indices
-    matchings: dict         # i -> row-deleted matching of the subsystem
     pattern: PatternMatrix  # the whole pattern the members come from
 
     @property
     def proper(self):
         return len(self.members) != self.pattern.n
+
+    @cached_property
+    def matchings(self):
+        """i -> the least perfect matching of the members other than i."""
+        adjacency = {r: self.pattern.rows[r - 1] for r in self.members}
+        return {i: _canonical_matching([r for r in self.members if r != i],
+                                       adjacency)
+                for i in self.members}
 
     @cached_property
     def kernel_row(self):
@@ -219,21 +247,8 @@ def super_essential_subsystem(system):
     adjacency = {r: pattern.rows[r - 1] for r in range(1, n + 1)}
     matched = _matching(range(n, 0, -1), adjacency)
     k = max(r for r in adjacency if r not in matched)
-    owner = {c: r for r, c in _matching(range(n, k, -1), adjacency).items()}
-    reached = {k}
-    frontier = [k]
-    while frontier:
-        for c in adjacency[frontier.pop()]:
-            r = owner[c]
-            if r not in reached:
-                reached.add(r)
-                frontier.append(r)
-    members = tuple(sorted(reached))
-    matchings = {i: _canonical_matching([r for r in members if r != i],
-                                        adjacency)
-                 for i in members}
-    return SubsystemCertificate(members=members, matchings=matchings,
-                                pattern=pattern)
+    reached = _reached(k, adjacency, _matching(range(n, k, -1), adjacency))
+    return SubsystemCertificate(members=tuple(sorted(reached)), pattern=pattern)
 
 
 def restrict(system, members):
@@ -273,26 +288,15 @@ def enumerate_super_essential(system, bound=ENUMERATION_BOUND):
     out = []
     for s in _subsets(pattern.n, 2):
         sub, _ = pattern.restricted(s)
-        if len(sub.columns) != len(s) - 1:
-            continue
-        if all(row_deleted_matching(sub, r) is not None
-               for r in range(1, sub.n + 1)):
+        if len(sub.columns) == len(s) - 1 and is_super_essential(sub):
             out.append(s)
     return out
 
 
 def is_irredundant(system, bound=ENUMERATION_BOUND):
     """No proper subsystem can already eliminate: |S| <= nu(S) for each
-    proper nonempty S."""
+    proper nonempty S, which by Hall's theorem is super essentiality."""
     pattern = pattern_matrix(system)
     if pattern.n > bound:
         raise TooLarge(f"enumeration over {pattern.n} > {bound} polynomials")
-    for s in _subsets(pattern.n, 1):
-        if len(s) == pattern.n:
-            continue
-        active = set()
-        for i in s:
-            active.update(pattern.rows[i - 1])
-        if len(s) > len(active):
-            return False
-    return True
+    return is_super_essential(pattern)

@@ -4,6 +4,8 @@ The determinant oracle used here is an independent cofactor expansion that
 shares no code with the library paths it checks.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +17,7 @@ from diffres.algebra import (
     Poly,
     _det_bareiss,
     _det_laplace,
+    _mono_div,
     as_poly,
     const_sym,
     determinant,
@@ -65,6 +68,20 @@ def test_symbol_interning_and_derivative():
     k = const_sym("k")
     with pytest.raises(ValueError):
         k.derived()
+
+
+def test_symbols_are_unique_by_construction():
+    for args in [("a",), ("a", 2), ("k", 0, True)]:
+        s = sym(*args)
+        assert sym(*args) is s
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+    assert sym("a") is not const_sym("a")
+    p = Poly.var(sym("x", 1)) ** 2 * Poly.var(const_sym("k")) - 3
+    q = copy.deepcopy(p)
+    assert q is not p and q == p
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_poly_arithmetic_basics():
@@ -189,6 +206,31 @@ def test_exact_div_roundtrip_random():
             continue
         assert exact_div(f * g, g) == f
         done += 1
+
+
+def mono_of(exps):
+    """Monomial of an exponent dict, sorted by key like the library's."""
+    return tuple(sorted(((s, e) for s, e in exps.items() if e),
+                        key=lambda t: t[0].key))
+
+
+def test_mono_div_matches_exponent_oracle_random():
+    rng = random.Random(12)
+    syms = [sym("a"), sym("b"), sym("a", 1), const_sym("a"), sym("c", 2)]
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        b = {s: rng.randint(0, 3) for s in syms}
+        a = {s: rng.randint(1, 2)
+             for s in rng.sample(syms, rng.randint(0, 3))}
+        got = _mono_div(mono_of(b), mono_of(a))
+        divides = all(b[s] >= e for s, e in a.items())
+        seen[divides] += 1
+        if not divides:
+            assert got is None
+            continue
+        assert got == mono_of({s: b[s] - a.get(s, 0) for s in syms})
+        assert [s.key for s, _ in got] == sorted(s.key for s, _ in got)
+    assert min(seen.values()) > 100
 
 
 def test_exact_div_failure():

@@ -215,6 +215,29 @@ def test_det_random_rejects_trials_below_one(sysdir, capsys, trials):
     assert "--trials" in error["message"]
 
 
+def test_main_calls_in_one_process_do_not_share_options(sysdir, capsys):
+    """The parser is built once per process; no option of one call may
+    leak into the next."""
+    singular, regular = sysdir / "singular.sys", sysdir / "regular.sys"
+    code, out, _ = run(capsys, "matrix", singular, "--dump")
+    assert code == 0 and "entries:" in out
+    code, out, _ = run(capsys, "matrix", singular)
+    assert code == 0 and "entries:" not in out
+
+    code, out, _ = run(capsys, "det", regular, "--mode", "random",
+                       "--trials", "3")
+    assert code == 0 and "certificate:" in out
+    code, out, _ = run(capsys, "det", regular)
+    assert code == 0 and "determinant:" in out and "certificate" not in out
+
+    with pytest.raises(SystemExit) as stop:
+        main(["det", str(regular), "--trials", "0"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "det", regular)
+    assert code == 0 and "determinant:" in out
+
+
 def test_subsystem_whole_system(sysdir, capsys):
     code, out, _ = run(capsys, "subsystem", sysdir / "regular.sys")
     assert code == 0

@@ -198,6 +198,13 @@ def test_enumeration_bound():
         is_irredundant(as_pattern(grid))
 
 
+def hall_irredundant(pattern):
+    """Oracle: every proper nonempty set S of rows has |S| <= nu(S)."""
+    return all(len(s) <= len(set().union(*(pattern.rows[i - 1] for i in s)))
+               for size in range(1, pattern.n)
+               for s in itertools.combinations(range(1, pattern.n + 1), size))
+
+
 def test_irredundance_matches_super_essentiality():
     # Hall's theorem makes the two notions coincide row by row.
     rng = random.Random(62)
@@ -210,7 +217,69 @@ def test_irredundance_matches_super_essentiality():
             if not any(row):
                 row[rng.randrange(m)] = 1
         pat = as_pattern(grid)
+        assert is_irredundant(pat) == hall_irredundant(pat)
         assert is_irredundant(pat) == is_super_essential(pat)
+
+
+def row_deleted_verdicts(pattern):
+    """For each row, whether the other rows match perfectly: the
+    definitions of both screens, row by row."""
+    return [row_deleted_matching(pattern, i) is not None
+            for i in range(1, pattern.n + 1)]
+
+
+def screen_patterns():
+    """Every pattern with n <= 4 rows and n - 1 columns, then seeded random
+    patterns with n <= 8 rows and any number of columns."""
+    for n in range(1, 5):
+        m = n - 1
+        for mask in range(1 << (n * m)):
+            yield PatternMatrix(
+                tuple(frozenset(j + 1 for j in range(m)
+                                if mask >> (i * m + j) & 1)
+                      for i in range(n)),
+                tuple(range(1, m + 1)))
+    rng = random.Random(65)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, 9)
+        density = rng.random()
+        yield PatternMatrix(
+            tuple(frozenset(j for j in range(1, m + 1)
+                            if rng.random() < density)
+                  for _ in range(n)),
+            tuple(range(1, m + 1)))
+
+
+def test_screens_from_one_matching_match_the_row_deleted_definitions():
+    counts = {(de, se): 0 for de in (True, False) for se in (True, False)}
+    for pat in screen_patterns():
+        verdicts = row_deleted_verdicts(pat)
+        de, se = is_differentially_essential(pat), is_super_essential(pat)
+        assert de == any(verdicts), pat
+        assert se == all(verdicts), pat
+        counts[de, se] += 1
+    assert counts[False, True] == 0
+    assert min(counts[True, True], counts[True, False],
+               counts[False, False]) > 100
+
+
+def test_enumeration_matches_the_row_deleted_definition():
+    rng = random.Random(66)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, n)
+        grid = [[1 if rng.random() < 0.4 else 0 for _ in range(m)]
+                for _ in range(n)]
+        pat = as_pattern(grid)
+        oracle = []
+        for size in range(2, n + 1):
+            for s in itertools.combinations(range(1, n + 1), size):
+                sub, _ = pat.restricted(s)
+                if (len(sub.columns) == size - 1
+                        and all(row_deleted_verdicts(sub))):
+                    oracle.append(s)
+        assert sorted(enumerate_super_essential(pat)) == sorted(oracle)
 
 
 def test_structural_rank_equals_symbolic_rank():
