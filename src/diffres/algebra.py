@@ -691,50 +691,35 @@ def _det_bareiss(m):
 
 
 def _det_laplace(m):
+    """Memoized Laplace expansion along the columns, left to right, after
+    Gentleman and Johnson (1976).
+
+    The minor left after the first c columns is fixed by the rows still
+    unused, so one bitmask of those rows keys the memo.  Expanding the
+    minor along its first column at row r takes the sign of the parity of
+    the unused rows above r.
+    """
     n = len(m)
+    columns = [[(r, m[r][c]) for r in range(n) if not m[r][c].is_zero()]
+               for c in range(n)]
     memo = {}
 
-    def cofactor_terms(line):
-        """Signed products entry * minor along the nonzero entries of one
-        row or column, given as (parity, entry, minor rows, minor columns)."""
-        for parity, e, sub_rows, sub_cols in line:
-            term = e * minor(sub_rows, sub_cols)
-            yield -term if parity % 2 else term
-
-    def minor(rows, cols):
-        if len(rows) == 1:
-            return m[rows[0]][cols[0]]
-        key = (rows, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        # pick the sparsest line among rows and columns
-        best_row, best_row_cnt = None, None
-        for pos, r in enumerate(rows):
-            cnt = sum(1 for c in cols if not m[r][c].is_zero())
-            if best_row_cnt is None or cnt < best_row_cnt:
-                best_row, best_row_cnt = pos, cnt
-        best_col, best_col_cnt = None, None
-        for pos, c in enumerate(cols):
-            cnt = sum(1 for r in rows if not m[r][c].is_zero())
-            if best_col_cnt is None or cnt < best_col_cnt:
-                best_col, best_col_cnt = pos, cnt
-        if best_row_cnt <= best_col_cnt:
-            r = rows[best_row]
-            sub_rows = rows[:best_row] + rows[best_row + 1:]
-            line = [(best_row + cpos, m[r][c], sub_rows,
-                     cols[:cpos] + cols[cpos + 1:])
-                    for cpos, c in enumerate(cols) if not m[r][c].is_zero()]
-        else:
-            c = cols[best_col]
-            sub_cols = cols[:best_col] + cols[best_col + 1:]
-            line = [(rpos + best_col, m[r][c], rows[:rpos] + rows[rpos + 1:],
-                     sub_cols)
-                    for rpos, r in enumerate(rows) if not m[r][c].is_zero()]
-        det = memo[key] = Poly.sum(cofactor_terms(line))
+    def minor(unused, c):
+        if c == n - 1:
+            return m[unused.bit_length() - 1][c]
+        det = memo.get(unused)
+        if det is None:
+            terms = []
+            for r, e in columns[c]:
+                bit = 1 << r
+                if unused & bit:
+                    term = e * minor(unused ^ bit, c + 1)
+                    terms.append(-term if (unused & (bit - 1)).bit_count() & 1
+                                 else term)
+            det = memo[unused] = Poly.sum(terms)
         return det
 
-    return minor(tuple(range(n)), tuple(range(n)))
+    return minor((1 << n) - 1, 0)
 
 
 def determinant(m):
@@ -745,8 +730,8 @@ def determinant(m):
     constant, fraction-free Bareiss elimination pivots and divides by
     constants only, so the last column stays linear in the free terms.
     When H holds symbols, Bareiss's exact polynomial divisions blow up,
-    and memoized Laplace expansion along the sparsest line is used
-    instead.  Both routes are exact and agree.
+    and memoized Laplace expansion along the columns, keyed by the unused
+    rows, is used instead.  Both routes are exact and agree.
     """
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):

@@ -193,9 +193,6 @@ def assemble(system, spec):
     derivative of a parameter falling outside the declared columns is a
     hard error; the recipes above never produce one.
     """
-    declared = {}
-    for j, (lo, hi) in spec.column_intervals.items():
-        declared[j] = (lo, hi)
     columns = _column_order(spec.column_intervals)
     position = {label: idx for idx, label in enumerate(columns)}
     rows = []
@@ -209,7 +206,7 @@ def assemble(system, spec):
             g = stack[k]
             row = [None] * (len(columns) + 1)
             for j, op in g.ops.items():
-                lo, hi = declared.get(j, (0, -1))
+                lo, hi = spec.column_intervals.get(j, (0, -1))
                 for kk in op.support():
                     if not lo <= kk <= hi:
                         raise ColumnMissing((j, kk))

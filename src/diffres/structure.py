@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .algebra import Frac, Poly, determinant, sym
 from .errors import AssumptionViolated, TooLarge
-from .systems import LinearSystem
+from .systems import LinearDiffPoly, LinearSystem
 
 ENUMERATION_BOUND = 12
 
@@ -260,7 +260,6 @@ def restrict(system, members):
     polys = [system.polys[i - 1] for i in members]
     active = sorted({j for f in polys for j in f.ops})
     param_map = {j: k + 1 for k, j in enumerate(active)}
-    from .systems import LinearDiffPoly
     rebuilt = [LinearDiffPoly(f.free, {param_map[j]: op
                                        for j, op in f.ops.items()})
                for f in polys]
@@ -293,10 +292,7 @@ def enumerate_super_essential(system, bound=ENUMERATION_BOUND):
     return out
 
 
-def is_irredundant(system, bound=ENUMERATION_BOUND):
+def is_irredundant(system):
     """No proper subsystem can already eliminate: |S| <= nu(S) for each
     proper nonempty S, which by Hall's theorem is super essentiality."""
-    pattern = pattern_matrix(system)
-    if pattern.n > bound:
-        raise TooLarge(f"enumeration over {pattern.n} > {bound} polynomials")
-    return is_super_essential(pattern)
+    return is_super_essential(system)

@@ -8,7 +8,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -294,14 +294,61 @@ def test_determinant_rejects_nonsquare():
         determinant([])
 
 
+def permutation_matrices():
+    """Every permutation matrix of side <= 5 whose entries are distinct
+    symbols, with its determinant sign(sigma) times the product of the
+    entries, so that each term shows its sign."""
+    for n in range(1, 6):
+        xs = [Poly.var(sym(f"x{i}")) for i in range(n)]
+        product = Poly.one()
+        for x in xs:
+            product = product * x
+        for sigma in permutations(range(n)):
+            m = [[xs[i] if j == sigma[i] else Poly.zero() for j in range(n)]
+                 for i in range(n)]
+            inversions = sum(sigma[i] > sigma[j]
+                             for i, j in combinations(range(n), 2))
+            yield m, -product if inversions % 2 else product
+
+
+def sparse_frames(rng, syms):
+    """Seeded frame-like [H | f] matrices of side <= 7: a sparse H with a
+    planted transversal, sometimes a zero row or a zero column, and a
+    dense last column."""
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        density = rng.choice([0.25, 0.4, 0.6])
+        m = [[random_poly(rng, syms, max_terms=2, max_exp=1)
+              if rng.random() < density else Poly.zero()
+              for _ in range(n - 1)] for _ in range(n)]
+        for i, j in enumerate(rng.sample(range(n), n)):
+            if j < n - 1:
+                m[i][j] = Poly.var(rng.choice(syms)) + rng.randint(1, 3)
+        for i, row in enumerate(m):
+            row.append(random_poly(rng, syms, max_terms=2, max_exp=1)
+                       + Poly.var(sym(f"f{i}")))
+        shape = rng.choice(["zero row", "zero column", "plain"])
+        if shape == "zero row":
+            m[rng.randrange(n)] = [Poly.zero()] * n
+        elif shape == "zero column":
+            c = rng.randrange(n - 1)
+            for row in m:
+                row[c] = Poly.zero()
+        yield m
+
+
 def test_determinant_matches_cofactor_oracle_random():
     rng = random.Random(17)
     syms = [sym("a"), sym("b"), sym("c", 1)]
+    cases = []
     for _ in range(60):
         n = rng.randint(1, 5)
         m = [[random_poly(rng, syms, max_terms=2, max_exp=1) for _ in range(n)]
              for _ in range(n)]
-        expected = cofactor_det(m)
+        cases.append((m, cofactor_det(m)))
+    cases += [(m, cofactor_det(m)) for m in sparse_frames(rng, syms)]
+    cases += permutation_matrices()
+    for m, expected in cases:
         assert _det_bareiss(m) == expected
         assert _det_laplace(m) == expected
         assert determinant(m) == expected
