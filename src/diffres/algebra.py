@@ -167,7 +167,8 @@ def _mono_gcd(a, b):
 
 def _merge(out, pairs):
     """Add (monomial, coefficient) pairs into the term dict ``out`` in place,
-    dropping every coefficient that cancels, and return ``out`` as a Poly."""
+    dropping every coefficient that cancels, and return ``out``.  The
+    monomials may be tuples or packed integers (see ``_Ring``)."""
     for m, c in pairs:
         v = out.get(m)
         if v is None:
@@ -178,8 +179,21 @@ def _merge(out, pairs):
                 out[m] = v
             else:
                 del out[m]
+    return out
+
+
+def _sum_terms(dicts):
+    """Sum of term dicts, left to right: the first is copied, never merged
+    into or returned, and the rest are merged into that copy."""
+    dicts = iter(dicts)
+    out = dict(next(dicts, {}))
+    return _merge(out, chain.from_iterable(d.items() for d in dicts))
+
+
+def _poly(terms):
+    """A Poly that adopts the term dict ``terms`` (no zero coefficients)."""
     p = Poly.__new__(Poly)
-    p.terms = out
+    p.terms = terms
     return p
 
 
@@ -225,10 +239,7 @@ class Poly:
 
         The first summand is copied, never merged into or returned, and the
         rest are merged into that copy."""
-        polys = iter(polys)
-        out = dict(as_poly(next(polys, _ZERO)).terms)
-        return _merge(out, chain.from_iterable(as_poly(p).terms.items()
-                                               for p in polys))
+        return _poly(_sum_terms(as_poly(p).terms for p in polys))
 
     # -- predicates ----------------------------------------------------
 
@@ -253,14 +264,12 @@ class Poly:
             return other
         if not other.terms:
             return self
-        return _merge(dict(self.terms), other.terms.items())
+        return _poly(_merge(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-as_poly(other))
@@ -273,9 +282,7 @@ class Poly:
             q = Fraction(other)
             if not q:
                 return _ZERO
-            p = Poly.__new__(Poly)
-            p.terms = {m: c * q for m, c in self.terms.items()}
-            return p
+            return _poly({m: c * q for m, c in self.terms.items()})
         other = as_poly(other)
         if not self.terms or not other.terms:
             return _ZERO
@@ -296,9 +303,7 @@ class Poly:
                         out[m] = v
                     else:
                         del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -339,7 +344,7 @@ class Poly:
                     else:
                         rest[idx] = (s, e - 1)
                     yield _mono_mul(tuple(rest), ((s.derived(), 1),)), c * e
-        return _merge({}, pairs())
+        return _poly(_merge({}, pairs()))
 
     def derive_n(self, k):
         p = self
@@ -397,31 +402,57 @@ class Poly:
 
         ``images`` maps symbol names to polynomials (or scalars); a symbol of
         derivative order k is replaced by the k-th derivative of the image.
+        The products run packed (``_Ring``); a term of exponent e_s on each
+        replaced symbol s keeps the exponents of its other symbols and
+        gains at most the sum of e_s times the largest exponent in the
+        image of s, which bounds the fields.
         """
-        cache = {}
-
-        def image_of(s):
-            got = cache.get(s)
-            if got is None:
-                base = as_poly(images[s.name])
-                got = base.derive_n(s.order)
-                cache[s] = got
-            return got
-
-        def image_of_term(mono, c):
+        derived = {}  # replaced symbol -> (its image, largest exponent in it)
+        split = []
+        symbols = set()
+        degree = 0
+        for mono, c in self.terms.items():
             keep = []
-            factor = None
-            for s, e in mono:
+            replaced = []
+            bound = top = 0
+            for pair in mono:
+                s, e = pair
                 if s.name in images:
-                    img = image_of(s) ** e
-                    factor = img if factor is None else factor * img
+                    got = derived.get(s)
+                    if got is None:
+                        img = as_poly(images[s.name]).derive_n(s.order)
+                        got = derived[s] = img, _max_exponent(img.terms)
+                        symbols |= img.symbols()
+                    replaced.append(pair)
+                    bound += e * got[1]
                 else:
-                    keep.append((s, e))
-            term = Poly({tuple(keep): c})
-            return term * factor if factor is not None else term
+                    keep.append(pair)
+                    symbols.add(s)
+                    if e > top:
+                        top = e
+            degree = max(degree, bound + top)
+            split.append((keep, c, replaced))
+        ring = _Ring(symbols, degree)
+        packed = {s: ring.pack(img.terms) for s, (img, _) in derived.items()}
+        powers = {}
 
-        return Poly.sum(image_of_term(mono, c)
-                        for mono, c in self.terms.items())
+        def image_of_term(keep, c, replaced):
+            m = ring.pack_mono(keep)
+            c = _packed_coeff(c)
+            factor = None
+            for pair in replaced:
+                img = powers.get(pair)
+                if img is None:
+                    img = powers[pair] = _ppow(packed[pair[0]], pair[1])
+                factor = img if factor is None else _pmul(factor, img)
+            if factor is None:
+                return ((m, c),)
+            # the one-term product term * factor has distinct monomials, so
+            # its pairs go straight into the sum in the order _pmul gives
+            return [(m + m2, c * c2) for m2, c2 in factor.items()]
+
+        return ring.unpack(_merge({}, chain.from_iterable(
+            image_of_term(*t) for t in split)))
 
     def evaluate(self, values):
         """Full numeric evaluation; ``values`` maps Sym -> Fraction."""
@@ -439,10 +470,8 @@ class Poly:
         return format_poly(self)
 
 
-_ZERO = Poly.__new__(Poly)
-_ZERO.terms = {}
-_ONE = Poly.__new__(Poly)
-_ONE.terms = {_ONE_MONO: Fraction(1)}
+_ZERO = _poly({})
+_ONE = _poly({_ONE_MONO: Fraction(1)})
 
 
 def as_poly(x):
@@ -486,6 +515,110 @@ def format_poly(p, mono_cmp=_term_cmp):
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+def _max_exponent(terms):
+    return max((e for mono in terms for _, e in mono), default=0)
+
+
+def _packed_coeff(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+class _Ring:
+    """Monomials over a fixed set of symbols, each packed into one int,
+    after Monagan and Pearce (2007).
+
+    Every symbol owns a field of bits wide enough for ``degree``, and the
+    smallest ``Sym.key`` owns the most significant field, so packed
+    monomials compare as integers the way ``_mono_cmp`` compares tuples.
+    The caller proves that no exponent of any product it forms exceeds
+    ``degree``; then the product of two monomials is one integer addition
+    and never carries from one field into the next.  Packing an exponent
+    that does not fit its field raises OverflowError.
+
+    A term dict packs in its own order, with a coefficient of denominator 1
+    as an int, and unpacks in its own order, with Fraction coefficients,
+    one shared Fraction for each integer value and one shared tuple for
+    each (symbol, exponent) pair.
+    """
+
+    def __init__(self, symbols, degree):
+        w = self.width = max(degree, 1).bit_length()
+        self.top = (1 << w) - 1
+        # field f starts at bit f * w; field 0 holds the largest symbol
+        self.fields = sorted(symbols, reverse=True)
+        self.shift = {s: f * w for f, s in enumerate(self.fields)}
+        self.low = [(1 << f * w) - 1 for f in range(len(self.fields))]
+        self.pairs = {}
+
+    def pack_mono(self, mono):
+        m = 0
+        for s, e in mono:
+            if e > self.top:
+                raise OverflowError(f"exponent {e} of {s!r} does not fit a "
+                                    f"{self.width}-bit field")
+            m |= e << self.shift[s]
+        return m
+
+    def pack(self, terms):
+        return {self.pack_mono(m): _packed_coeff(c) for m, c in terms.items()}
+
+    def unpack_mono(self, m):
+        w, low, pairs = self.width, self.low, self.pairs
+        out = []
+        while m:
+            f = (m.bit_length() - 1) // w
+            rest = m & low[f]
+            field = m - rest
+            pair = pairs.get(field)
+            if pair is None:
+                pair = pairs[field] = (self.fields[f], field >> f * w)
+            out.append(pair)
+            m = rest
+        return tuple(out)
+
+    def unpack(self, terms):
+        out = {}
+        fractions = {}
+        for m, c in terms.items():
+            if type(c) is int:
+                f = fractions.get(c)
+                if f is None:
+                    f = fractions[c] = Fraction(c)
+                c = f
+            out[self.unpack_mono(m)] = c
+        return _poly(out)
+
+
+def _pmul(a, b):
+    """Product of two packed term dicts, its terms in the order that
+    ``Poly.__mul__`` gives the unpacked operands."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (m1, c1), = a.items()
+        return {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+    return _merge({}, ((m1 + m2, c1 * c2)
+                       for m1, c1 in a.items() for m2, c2 in b.items()))
+
+
+def _ppow(a, n):
+    """Packed ``a ** n`` by the squarings of ``Poly.__pow__``."""
+    out = {0: 1}
+    while n:
+        if n & 1:
+            out = _pmul(out, a)
+        a = _pmul(a, a) if n > 1 else a
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -692,34 +825,45 @@ def _det_bareiss(m):
 
 def _det_laplace(m):
     """Memoized Laplace expansion along the columns, left to right, after
-    Gentleman and Johnson (1976).
+    Gentleman and Johnson (1976), on packed monomials.
 
     The minor left after the first c columns is fixed by the rows still
     unused, so one bitmask of those rows keys the memo.  Expanding the
     minor along its first column at row r takes the sign of the parity of
-    the unused rows above r.
+    the unused rows above r.  Every term of a minor of side k takes one
+    entry from each of k rows, so no exponent exceeds n times the largest
+    exponent of an entry, which bounds the fields of the ring.
     """
     n = len(m)
-    columns = [[(r, m[r][c]) for r in range(n) if not m[r][c].is_zero()]
+    entries = [e for row in m for e in row]
+    ring = _Ring(set().union(*(e.symbols() for e in entries)),
+                 n * max(_max_exponent(e.terms) for e in entries))
+    packed = [[ring.pack(e.terms) for e in row] for row in m]
+    columns = [[(r, e, {k: -v for k, v in e.items()})
+                for r in range(n) if (e := packed[r][c])]
                for c in range(n)]
     memo = {}
 
     def minor(unused, c):
         if c == n - 1:
-            return m[unused.bit_length() - 1][c]
+            return packed[unused.bit_length() - 1][c]
         det = memo.get(unused)
         if det is None:
             terms = []
-            for r, e in columns[c]:
+            for r, e, neg in columns[c]:
                 bit = 1 << r
                 if unused & bit:
-                    term = e * minor(unused ^ bit, c + 1)
-                    terms.append(-term if (unused & (bit - 1)).bit_count() & 1
-                                 else term)
-            det = memo[unused] = Poly.sum(terms)
+                    sub = minor(unused ^ bit, c + 1)
+                    if sub:
+                        odd = (unused & (bit - 1)).bit_count() & 1
+                        terms.append(_pmul(neg if odd else e, sub))
+            det = memo[unused] = _sum_terms(terms)
         return det
 
-    return minor((1 << n) - 1, 0)
+    try:
+        return ring.unpack(minor((1 << n) - 1, 0))
+    finally:
+        del minor  # it refers to itself: drop the memo now, not at a GC
 
 
 def determinant(m):

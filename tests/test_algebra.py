@@ -5,9 +5,11 @@ shares no code with the library paths it checks.
 """
 
 import copy
+import gc
 import pickle
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 import pytest
@@ -17,7 +19,11 @@ from diffres.algebra import (
     Poly,
     _det_bareiss,
     _det_laplace,
+    _mono_cmp,
     _mono_div,
+    _pmul,
+    _ppow,
+    _Ring,
     as_poly,
     const_sym,
     determinant,
@@ -176,6 +182,60 @@ def test_substitute_consistent_across_derivatives():
                 + 2 * Poly.var(sym("x", 1)) ** 2
                 + 3 * Poly.var(x) ** 2)
     assert q == expected
+
+
+def substitute_oracle(p, images):
+    """Oracle: each term as its kept factors times the product of the
+    derived images of the replaced ones, summed left to right."""
+    parts = []
+    for mono, c in p.terms.items():
+        term = Poly.const(c)
+        factor = None
+        for s, e in mono:
+            if s.name in images:
+                img = as_poly(images[s.name]).derive_n(s.order) ** e
+                factor = img if factor is None else factor * img
+            else:
+                term = term * Poly.var(s) ** e
+        parts.append(term if factor is None else term * factor)
+    return Poly.sum(parts)
+
+
+def test_substitute_matches_oracle_random():
+    rng = random.Random(29)
+    a, b = sym("a"), sym("b")
+    replaced = [a, sym("a", 1), sym("a", 2), b, sym("b", 1), const_sym("a")]
+    kept = [sym("x"), sym("x", 1), const_sym("k")]
+    image_syms = [sym("x"), sym("y"), sym("y", 1), const_sym("k")]
+    images_seen = set()
+    for trial in range(150):
+        p = Poly.sum(random_poly(rng, replaced + kept, max_terms=2, max_exp=3)
+                     for _ in range(rng.randint(0, 3)))
+        images = {}
+        for name in ("a", "b"):
+            kind = rng.choice(["poly", "poly", "zero", "constant", "scalar"])
+            images_seen.add(kind)
+            if kind == "poly":
+                images[name] = random_poly(rng, image_syms, max_exp=2)
+            elif kind == "zero":
+                images[name] = Poly.zero()
+            elif kind == "constant":
+                images[name] = Poly.const(Fraction(rng.randint(-5, 5), 3))
+            else:
+                images[name] = rng.randint(-3, 3)
+        got = p.substitute(images)
+        want = substitute_oracle(p, images)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+    assert images_seen == {"poly", "zero", "constant", "scalar"}
+    # exponents 2 and 3 on replaced symbols, an image with a denominator
+    x, y = Poly.var(sym("x")), Poly.var(sym("y"))
+    p = (Poly.var(a) ** 3 * Poly.var(sym("b", 1)) ** 2 * Poly.var(sym("x", 1))
+         - Fraction(2, 3) * Poly.var(sym("a", 1)) ** 2 + Poly.var(const_sym("a")))
+    images = {"a": Fraction(1, 2) * x + y ** 2, "b": x * y - 1}
+    assert p.substitute(images) == substitute_oracle(p, images)
+    assert p.substitute({}) == p
 
 
 def test_evaluate():
@@ -346,12 +406,34 @@ def test_determinant_matches_cofactor_oracle_random():
         m = [[random_poly(rng, syms, max_terms=2, max_exp=1) for _ in range(n)]
              for _ in range(n)]
         cases.append((m, cofactor_det(m)))
+    # higher exponents widen the packed fields of the Laplace route
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = [[random_poly(rng, syms, max_terms=2, max_exp=5) for _ in range(n)]
+             for _ in range(n)]
+        cases.append((m, cofactor_det(m)))
     cases += [(m, cofactor_det(m)) for m in sparse_frames(rng, syms)]
     cases += permutation_matrices()
     for m, expected in cases:
         assert _det_bareiss(m) == expected
         assert _det_laplace(m) == expected
         assert determinant(m) == expected
+
+
+def test_laplace_leaves_no_garbage_cycle():
+    """The memo of minors is freed when the determinant returns, not held
+    by a reference cycle until the next collection."""
+    m = [[Poly.var(sym(f"x{i}{j}")) for j in range(5)] for i in range(5)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        det = _det_laplace(m)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(det.terms) == 120
 
 
 def test_determinant_numeric_and_sparse_agree():
@@ -433,3 +515,44 @@ def test_rank_matches_minor_oracle_random():
             for row in m:
                 row[c] = Poly.zero()
         assert rank(m) == rank_by_minors(m)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+def test_packed_products_match_tuple_products_random():
+    """Packed products unpack to ``Poly.__mul__`` and ``**`` term for term,
+    in the same order, and packed monomials compare like ``_mono_cmp``."""
+    rng = random.Random(31)
+    syms = [sym("a"), sym("b", 1), sym("a", 2), const_sym("a"), sym("c")]
+    for _ in range(300):
+        f = random_poly(rng, syms, max_terms=4, max_exp=6)
+        g = random_poly(rng, syms, max_terms=4, max_exp=6)
+        if rng.random() < 0.3:
+            g = g + f * Fraction(rng.randint(-2, 2), 3)  # overlapping terms
+        ring = _Ring(f.symbols() | g.symbols(), 12)
+        pf, pg = ring.pack(f.terms), ring.pack(g.terms)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in pf.values())
+        assert ring.unpack(pf).terms == f.terms
+        got = ring.unpack(_pmul(pf, pg))
+        assert list(got.terms.items()) == list((f * g).terms.items())
+        cubes = _Ring(f.symbols(), 18)
+        cube = cubes.unpack(_ppow(cubes.pack(f.terms), 3))
+        assert list(cube.terms.items()) == list((f ** 3).terms.items())
+        monos = list(f.terms) + list(g.terms)
+        by_packing = sorted(monos, key=ring.pack_mono)
+        assert by_packing == sorted(monos, key=cmp_to_key(_mono_cmp))
+
+
+def test_packing_past_the_field_width_raises():
+    x, y = sym("x"), sym("y")
+    ring = _Ring([x, y], 3)  # two-bit fields
+    assert ring.width == 2
+    assert ring.pack_mono(((x, 3), (y, 3))) == 0b1111
+    with pytest.raises(OverflowError):
+        ring.pack_mono(((x, 4),))
+    with pytest.raises(OverflowError):
+        ring.pack({((y, 1),): Fraction(1), ((y, 7),): Fraction(2)})
