@@ -402,57 +402,16 @@ class Poly:
 
         ``images`` maps symbol names to polynomials (or scalars); a symbol of
         derivative order k is replaced by the k-th derivative of the image.
-        The products run packed (``_Ring``); a term of exponent e_s on each
-        replaced symbol s keeps the exponents of its other symbols and
-        gains at most the sum of e_s times the largest exponent in the
-        image of s, which bounds the fields.
+        The polynomial and the images are packed into one ``_Ring``, whose
+        fields hold the largest exponent of a term plus e_s times the
+        largest exponent in the image of each replaced symbol s, and
+        substituted by the packed kernel ``_psubstitute``.  The membership
+        check runs the same kernel; on the direct branch of ``eliminate``
+        its ring is the frame's, which also holds n times the largest
+        exponent of an entry for the Laplace expansion (``_det_with_image``).
         """
-        derived = {}  # replaced symbol -> (its image, largest exponent in it)
-        split = []
-        symbols = set()
-        degree = 0
-        for mono, c in self.terms.items():
-            keep = []
-            replaced = []
-            bound = top = 0
-            for pair in mono:
-                s, e = pair
-                if s.name in images:
-                    got = derived.get(s)
-                    if got is None:
-                        img = as_poly(images[s.name]).derive_n(s.order)
-                        got = derived[s] = img, _max_exponent(img.terms)
-                        symbols |= img.symbols()
-                    replaced.append(pair)
-                    bound += e * got[1]
-                else:
-                    keep.append(pair)
-                    symbols.add(s)
-                    if e > top:
-                        top = e
-            degree = max(degree, bound + top)
-            split.append((keep, c, replaced))
-        ring = _Ring(symbols, degree)
-        packed = {s: ring.pack(img.terms) for s, (img, _) in derived.items()}
-        powers = {}
-
-        def image_of_term(keep, c, replaced):
-            m = ring.pack_mono(keep)
-            c = _packed_coeff(c)
-            factor = None
-            for pair in replaced:
-                img = powers.get(pair)
-                if img is None:
-                    img = powers[pair] = _ppow(packed[pair[0]], pair[1])
-                factor = img if factor is None else _pmul(factor, img)
-            if factor is None:
-                return ((m, c),)
-            # the one-term product term * factor has distinct monomials, so
-            # its pairs go straight into the sum in the order _pmul gives
-            return [(m + m2, c * c2) for m2, c2 in factor.items()]
-
-        return ring.unpack(_merge({}, chain.from_iterable(
-            image_of_term(*t) for t in split)))
+        ring, terms = _substitution(self, images)
+        return ring.unpack(terms)
 
     def evaluate(self, values):
         """Full numeric evaluation; ``values`` maps Sym -> Fraction."""
@@ -540,12 +499,16 @@ class _Ring:
     The caller proves that no exponent of any product it forms exceeds
     ``degree``; then the product of two monomials is one integer addition
     and never carries from one field into the next.  Packing an exponent
-    that does not fit its field raises OverflowError.
+    that does not fit its field raises OverflowError.  Two callers size a
+    ring: a Laplace determinant of side n by n times the largest exponent
+    of an entry, and a substitution by the largest exponent of a term plus
+    e_s times the largest exponent in the image of each replaced symbol s
+    (``_substitution``); the ring of ``_det_with_image`` holds both.
 
     A term dict packs in its own order, with a coefficient of denominator 1
     as an int, and unpacks in its own order, with Fraction coefficients,
     one shared Fraction for each integer value and one shared tuple for
-    each (symbol, exponent) pair.
+    each (symbol, exponent) pair and for each decoded chunk of fields.
     """
 
     def __init__(self, symbols, degree):
@@ -556,6 +519,11 @@ class _Ring:
         self.shift = {s: f * w for f, s in enumerate(self.fields)}
         self.low = [(1 << f * w) - 1 for f in range(len(self.fields))]
         self.pairs = {}
+        # unpacking decodes chunks of about 48 bits, whole fields each
+        c = self.chunk = max(1, 48 // w) * w
+        self.chunk_low = [(1 << j * c) - 1
+                          for j in range(-(-len(self.fields) * w // c))]
+        self.parts = {}
 
     def pack_mono(self, mono):
         m = 0
@@ -570,6 +538,22 @@ class _Ring:
         return {self.pack_mono(m): _packed_coeff(c) for m, c in terms.items()}
 
     def unpack_mono(self, m):
+        """The tuple of ``m``, decoded a chunk of fields at a time: the
+        decoded pairs of each chunk are cached, sub-monomials repeat."""
+        size, low, parts = self.chunk, self.chunk_low, self.parts
+        out = ()
+        while m:
+            j = (m.bit_length() - 1) // size
+            rest = m & low[j]
+            part = m - rest
+            got = parts.get(part)
+            if got is None:
+                got = parts[part] = self._decode(part)
+            out += got
+            m = rest
+        return out
+
+    def _decode(self, m):
         w, low, pairs = self.width, self.low, self.pairs
         out = []
         while m:
@@ -619,6 +603,80 @@ def _ppow(a, n):
         a = _pmul(a, a) if n > 1 else a
         n >>= 1
     return out
+
+
+def _psubstitute(terms, ring, images):
+    """The packed substitution kernel: the packed term dict ``terms`` with
+    each symbol s of the packed term dict ``images`` replaced by
+    ``images[s]``, all in ``ring``, which must hold the bound that
+    ``_Ring`` states for a substitution.
+
+    Terms are grouped by their replaced part ``m & mask``: the product of
+    the image powers of one replaced part is formed once, in the symbol
+    order of the monomial, and each term's kept part times that product
+    goes straight into one result dict, term after term.  So the result
+    has the terms, in order, of summing each term's image left to right.
+    """
+    top = ring.top
+    fields = sorted((ring.shift[s], img) for s, img in images.items())
+    fields.reverse()  # most significant field, the smallest symbol, first
+    mask = sum(top << shift for shift, _ in fields)
+    products = {0: {0: 1}}
+
+    def product(r):
+        out = None
+        for shift, img in fields:
+            e = r >> shift & top
+            if e:
+                power = _ppow(img, e)
+                out = power if out is None else _pmul(out, power)
+        return out
+
+    def pairs():
+        for m, c in terms.items():
+            r = m & mask
+            factor = products.get(r)
+            if factor is None:
+                factor = products[r] = product(r)
+            m -= r
+            for m2, c2 in factor.items():
+                yield m + m2, c * c2
+
+    return _merge({}, pairs())
+
+
+def _derived_image(images, s):
+    """The image of ``s``: the image of its name, derived s.order times."""
+    return as_poly(images[s.name]).derive_n(s.order)
+
+
+def _substitution(p, images):
+    """``p.substitute(images)`` packed: (ring, packed result).
+
+    A term whose largest exponent is t gains on any symbol at most the sum
+    of e_s times the largest exponent in the image of s over its replaced
+    symbols s, so t plus that sum bounds the ring.
+    """
+    derived = {}  # replaced symbol -> (its image, largest exponent in it)
+    symbols = set()
+    degree = 0
+    for mono in p.terms:
+        top = bound = 0
+        for s, e in mono:
+            symbols.add(s)
+            if e > top:
+                top = e
+            if s.name in images:
+                got = derived.get(s)
+                if got is None:
+                    img = _derived_image(images, s)
+                    got = derived[s] = img, _max_exponent(img.terms)
+                    symbols |= img.symbols()
+                bound += e * got[1]
+        degree = max(degree, top + bound)
+    ring = _Ring(symbols, degree)
+    return ring, _psubstitute(ring.pack(p.terms), ring, {
+        s: ring.pack(img.terms) for s, (img, _) in derived.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -823,21 +881,19 @@ def _det_bareiss(m):
     return det if pivots == len(m) else _ZERO
 
 
-def _det_laplace(m):
+def _laplace(m, ring):
     """Memoized Laplace expansion along the columns, left to right, after
-    Gentleman and Johnson (1976), on packed monomials.
+    Gentleman and Johnson (1976): the determinant of ``m`` as a packed
+    term dict of ``ring``, which must hold n times the largest exponent
+    of an entry.
 
     The minor left after the first c columns is fixed by the rows still
     unused, so one bitmask of those rows keys the memo.  Expanding the
     minor along its first column at row r takes the sign of the parity of
     the unused rows above r.  Every term of a minor of side k takes one
-    entry from each of k rows, so no exponent exceeds n times the largest
-    exponent of an entry, which bounds the fields of the ring.
+    entry from each of k rows, so no exponent exceeds that bound.
     """
     n = len(m)
-    entries = [e for row in m for e in row]
-    ring = _Ring(set().union(*(e.symbols() for e in entries)),
-                 n * max(_max_exponent(e.terms) for e in entries))
     packed = [[ring.pack(e.terms) for e in row] for row in m]
     columns = [[(r, e, {k: -v for k, v in e.items()})
                 for r in range(n) if (e := packed[r][c])]
@@ -861,9 +917,29 @@ def _det_laplace(m):
         return det
 
     try:
-        return ring.unpack(minor((1 << n) - 1, 0))
+        return minor((1 << n) - 1, 0)
     finally:
         del minor  # it refers to itself: drop the memo now, not at a GC
+
+
+def _det_laplace(m):
+    """The Laplace route of ``determinant``: ``_laplace`` in a ring of its
+    own, unpacked."""
+    entries = [e for row in m for e in row]
+    ring = _Ring(set().union(*(e.symbols() for e in entries)),
+                 len(m) * max(_max_exponent(e.terms) for e in entries))
+    return ring.unpack(_laplace(m, ring))
+
+
+def _square(m):
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise NonSquare(f"matrix is not square: {n} rows")
+    return [[as_poly(e) for e in row] for row in m]
+
+
+def _numeric_h(m):
+    return all(e.is_constant() for row in m for e in row[:-1])
 
 
 def determinant(m):
@@ -877,13 +953,47 @@ def determinant(m):
     and memoized Laplace expansion along the columns, keyed by the unused
     rows, is used instead.  Both routes are exact and agree.
     """
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise NonSquare(f"matrix is not square: {n} rows")
-    m = [[as_poly(e) for e in row] for row in m]
-    if all(e.is_constant() for row in m for e in row[:-1]):
+    m = _square(m)
+    if _numeric_h(m):
         return _det_bareiss(m)
     return _det_laplace(m)
+
+
+def _det_with_image(m, images):
+    """``determinant(m)`` and the packed terms of its image under
+    ``substitute(images)``, which are empty exactly when the image is 0.
+
+    On the Laplace route the determinant stays packed: one ring serves the
+    expansion and the substitution, and the determinant is unpacked once.
+    A term of the expansion keeps at most n times the largest exponent E
+    of an entry on any symbol, and it takes one entry from each column, so
+    the sum of its exponents on replaced symbols is at most the sum, over
+    the columns, of the largest such sum in an entry of the column.  The
+    ring holds n E plus that many times the largest exponent of an image.
+    """
+    m = _square(m)
+    if _numeric_h(m):
+        det = _det_bareiss(m)
+        return det, _substitution(det, images)[1]
+    entries = [e for row in m for e in row]
+    symbols = set().union(*(e.symbols() for e in entries))
+    derived = {s: _derived_image(images, s)
+               for s in symbols if s.name in images}
+    for img in derived.values():
+        symbols |= img.symbols()
+
+    def replaced(e):
+        return max((sum(x for s, x in mono if s in derived)
+                    for mono in e.terms), default=0)
+
+    spread = sum(max(map(replaced, column)) for column in zip(*m))
+    entry_top = max(_max_exponent(e.terms) for e in entries)
+    image_top = max((_max_exponent(img.terms) for img in derived.values()),
+                    default=0)
+    ring = _Ring(symbols, len(m) * entry_top + spread * image_top)
+    det = _laplace(m, ring)
+    return ring.unpack(det), _psubstitute(det, ring, {
+        s: ring.pack(img.terms) for s, img in derived.items()})
 
 
 # ---------------------------------------------------------------------------

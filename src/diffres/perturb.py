@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Frac, Poly, _mono_gcd, as_poly, const_sym, exact_div,
-                      sym)
+from .algebra import (Frac, Poly, _det_with_image, _mono_gcd, _substitution,
+                      as_poly, const_sym, exact_div, sym)
 from .errors import (
     AssumptionViolated,
     BetaOmegaViolated,
@@ -589,27 +589,41 @@ def _free_constant(f):
     raise NotDPPEShaped("free term must be a single fresh symbol")
 
 
+def _membership_images(system):
+    """Each free constant's name -> minus the parameter part of its
+    polynomial, the substitution under which a member of the ideal
+    vanishes; NotDPPEShaped unless the free terms are pairwise distinct
+    fresh symbols that no coefficient mentions."""
+    images = {}
+    mentioned = set()
+    for f in system.polys:
+        s = _free_constant(f)
+        if s.name in images:
+            raise NotDPPEShaped("free constants must be pairwise distinct")
+        images[s.name] = -f.param_part()
+        for op in f.ops.values():
+            for c in op.coeffs.values():
+                mentioned.update(t.name for t in c.symbols())
+    if not mentioned.isdisjoint(images):
+        raise NotDPPEShaped("free constants reappear inside coefficients")
+    return images
+
+
 def verify_membership(B, system):
     """Does B lie in the ideal generated by the system?
 
     Needs every free term to be its own fresh symbol; each such symbol is
     replaced by minus the parameter part of its polynomial and membership
-    holds exactly when the substitution cancels B.
+    holds exactly when the substitution cancels B.  The substitution runs
+    packed, in one ring sized by the largest exponent of each term plus
+    e_s times the largest image exponent of each replaced symbol s.
+    ``eliminate`` runs the same kernel with the same images on its
+    answer; on the direct branch the ring is the one of the Laplace
+    expansion, sized for n times the largest exponent of an entry as well
+    (``algebra._det_with_image``).
     """
-    names = set()
-    for f in system.polys:
-        s = _free_constant(f)
-        if s.name in names:
-            raise NotDPPEShaped("free constants must be pairwise distinct")
-        names.add(s.name)
-    for f in system.polys:
-        for op in f.ops.values():
-            for c in op.coeffs.values():
-                if any(t.name in names for t in c.symbols()):
-                    raise NotDPPEShaped(
-                        "free constants reappear inside coefficients")
-    images = {_free_constant(f).name: -f.param_part() for f in system.polys}
-    return as_poly(B).substitute(images).is_zero()
+    images = _membership_images(system)
+    return not _substitution(as_poly(B), images)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +646,15 @@ class EliminationReport:
     notes: tuple
 
 
-def _membership_or_none(B, system, notes):
-    try:
-        return verify_membership(B, system)
-    except NotDPPEShaped:
+def _verdict(image, notes):
+    """Membership read off the packed image of an answer under the
+    substitution of ``_membership_images``; None, with a note, when the
+    system has no such substitution (``image`` is None)."""
+    if image is None:
         notes.append("free terms are not single fresh constants; "
                      "membership not checked")
         return None
+    return not image
 
 
 def eliminate(system, perturbation="auto"):
@@ -670,9 +686,15 @@ def eliminate(system, perturbation="auto"):
     if len(cert.members) != system.n:
         shown = ", ".join(f"f{i}" for i in cert.members)
         notes.append(f"working on the proper subsystem {{{shown}}}")
-    det = matrix.determinant()
+    images = image = None
+    try:
+        images = _membership_images(sub)
+    except NotDPPEShaped:
+        det = matrix.determinant()
+    else:
+        det, image = _det_with_image(matrix.entries, images)
     if not det.is_zero():
-        membership = _membership_or_none(det, sub, notes)
+        membership = _verdict(image, notes)
         return EliminationReport(
             branch="direct", members=cert.members, output=det,
             side=spec.side, co_order=0, profile=profile,
@@ -714,7 +736,8 @@ def eliminate(system, perturbation="auto"):
         output = low
         notes.append("free terms are not single fresh constants; "
                      "lowest coefficient left unnormalized")
-    membership = _membership_or_none(output, sub, notes)
+    image = None if images is None else _substitution(output, images)[1]
+    membership = _verdict(image, notes)
     return EliminationReport(
         branch="perturbed", members=cert.members, output=output,
         side=spec.side, co_order=deficiency, profile=profile,

@@ -236,6 +236,13 @@ def test_substitute_matches_oracle_random():
     images = {"a": Fraction(1, 2) * x + y ** 2, "b": x * y - 1}
     assert p.substitute(images) == substitute_oracle(p, images)
     assert p.substitute({}) == p
+    # two replaced symbols whose images have equal lengths: the product of
+    # their images, and so the term order, follows the order of the symbols
+    p = Poly.var(a) * Poly.var(b) + Poly.var(sym("b", 1))
+    images = {"a": x + y, "b": Poly.var(sym("z")) - Poly.var(sym("w"))}
+    got = p.substitute(images)
+    assert list(got.terms.items()) == list(
+        substitute_oracle(p, images).terms.items())
 
 
 def test_evaluate():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,13 +6,17 @@ import pytest
 from conftest import (
     SE_DE_2,
     four_eq_system,
+    generic_four_system,
     generic_three_system,
+    motivation_system,
     pattern_system,
     tall_order_system,
     v,
 )
+from test_algebra import substitute_oracle
 
-from diffres.algebra import Frac, Poly, const_sym, exact_div, sym
+from diffres.algebra import (Frac, Poly, _det_with_image, const_sym,
+                             determinant, exact_div, sym)
 from diffres.errors import (
     AssumptionViolated,
     BetaOmegaViolated,
@@ -418,6 +423,55 @@ def test_membership_needs_fresh_constants():
     ], params=1)
     with pytest.raises(NotDPPEShaped):
         verify_membership(v("c1"), tangled)
+
+
+def test_the_direct_ring_holds_the_substitution_bound():
+    """eliminate keeps the determinant packed in one ring for the Laplace
+    expansion and the membership substitution, so the ring must hold the
+    larger of the two bounds."""
+    a3 = v("a") ** 3
+    system = LinearSystem([
+        linear_poly(v("c1"), {1: {2: a3, 0: v("b")}}),
+        linear_poly(v("c2"), {1: {1: v("d")}}),
+    ], params=1)
+    # side 5 and a^3: the Laplace bound 15 fits four bits, the bound
+    # 15 + 3 of the substitution needs five
+    report = eliminate(system)
+    assert report.side == 5 and report.branch == "direct"
+    assert report.membership is True
+    # images of a higher degree than any entry: a^4 does not fit the
+    # two-bit fields that the Laplace bound 2 of this matrix would give
+    m = [[v("b"), v("c")], [Poly.one(), v("a")]]
+    for image, member in ((v("a") * v("b"), True),
+                          (v("a") ** 4 * v("b"), False)):
+        images = {"c": image}
+        det, packed = _det_with_image(m, images)
+        assert det == determinant(m)
+        assert substitute_oracle(det, images).is_zero() is member
+        assert (not packed) is member
+
+
+def eliminate_digest(reports):
+    """sha256 over branch, members, co-order, lowest degree, membership,
+    notes and the ordered terms of each output, coefficient type included."""
+    h = hashlib.sha256()
+    for r in reports:
+        terms = [(tuple((s.name, s.order, s.constant, e) for s, e in mono),
+                  type(c).__name__, str(c))
+                 for mono, c in r.output.terms.items()]
+        h.update(repr((r.branch, r.members, r.co_order, r.lowest_degree,
+                       r.membership, r.notes, terms)).encode())
+    return h.hexdigest()
+
+
+def test_eliminate_outputs_match_the_pinned_digest():
+    """Every output, term order and coefficient type included, as pinned
+    before the direct branch kept its determinant packed."""
+    systems = [motivation_system(), generic_three_system(),
+               generic_four_system(), four_eq_system(5), four_eq_system(1),
+               tall_order_system()]
+    assert eliminate_digest(eliminate(s) for s in systems) == (
+        "e71085bb29ea516f5504793758eba026c3ef76136634943fb099a5e31e0b0ded")
 
 
 # ---------------------------------------------------------------------------

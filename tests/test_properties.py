@@ -13,8 +13,9 @@ import random
 from fractions import Fraction
 
 from conftest import v
-from diffres.algebra import (Poly, _det_bareiss, _det_laplace, as_poly,
-                             determinant, rank, sym)
+from test_algebra import substitute_oracle
+from diffres.algebra import (Poly, _det_bareiss, _det_laplace,
+                             _det_with_image, as_poly, determinant, rank, sym)
 from diffres.errors import BetaOmegaViolated, NotDefinable
 from diffres.formulas import (assemble, spec_cf, spec_cres, spec_fres,
                               spec_general, zero_columns)
@@ -30,9 +31,12 @@ def nonzero_fraction(rng):
     return Fraction(num, rng.choice([1, 1, 1, 2, 3]))
 
 
-def random_system(rng, max_n=4, max_order=4, density=0.55, symbolic=0.0):
+def random_system(rng, max_n=4, max_order=4, density=0.55, symbolic=0.0,
+                  power=1):
     """Systems meeting the standing assumptions: distinct free constants,
-    every polynomial touches a parameter, every parameter is used."""
+    every polynomial touches a parameter, every parameter is used.  A
+    symbolic coefficient is a fresh symbol to a power of at most
+    ``power``."""
     n = rng.randint(2, max_n)
     m = n - 1
     hosts = {j: rng.randrange(n) for j in range(1, m + 1)}
@@ -46,6 +50,8 @@ def random_system(rng, max_n=4, max_order=4, density=0.55, symbolic=0.0):
             for k in rng.sample(range(max_order + 1), rng.randint(1, 2)):
                 if rng.random() < symbolic:
                     entry[k] = v(f"a{i + 1}{j}{k}")
+                    if power > 1:
+                        entry[k] = entry[k] ** rng.randint(1, power)
                 else:
                     entry[k] = nonzero_fraction(rng)
             ops[j] = entry
@@ -118,6 +124,43 @@ def test_determinant_is_always_a_member():
         if det.is_zero():
             continue
         assert verify_membership(det, system)
+        checked += 1
+    assert checked >= 100, checked
+
+
+def test_membership_verdicts_match_the_substitution_oracle():
+    """The packed membership check, from a polynomial and from the shared
+    ring of the direct branch, against the tuple substitution oracle: the
+    determinant is a member, so is the determinant times a free constant
+    (exponent 2 on a replaced symbol), and the determinant plus one of its
+    own monomials is not."""
+    rng = random.Random(909)
+    checked = 0
+    for _ in range(800):
+        if checked >= 100:
+            break
+        system = random_system(rng, max_n=3, max_order=rng.choice([1, 2, 3]),
+                               symbolic=0.5, power=3)
+        try:
+            spec = spec_fres(system)
+        except NotDefinable:
+            continue
+        if spec.side > 8:
+            continue
+        matrix = assemble(system, spec)
+        det = determinant(matrix.entries)
+        if det.is_zero():
+            continue
+        images = {f"c{i + 1}": -f.param_part()
+                  for i, f in enumerate(system.polys)}
+        shared, image = _det_with_image(matrix.entries, images)
+        assert list(shared.terms.items()) == list(det.terms.items())
+        assert not image
+        stray = next(iter(det.terms))
+        for B, member in ((det, True), (det * v("c1"), True),
+                          (det + Poly({stray: 1}), False)):
+            assert substitute_oracle(B, images).is_zero() is member
+            assert verify_membership(B, system) is member
         checked += 1
     assert checked >= 100, checked
 
