@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, determinant, rank
+from .algebra import Poly, _bareiss, _int_rows, determinant, rank
 from .errors import (AssumptionViolated, BetaOmegaViolated, ColumnMissing,
                      NotDefinable, NotDifferentiallyEssential)
 from .structure import (is_differentially_essential, restrict,
@@ -301,42 +301,24 @@ class Verdict(enum.Enum):
 _POOL = [Fraction(a, b) for b in range(1, 5) for a in range(-12, 13) if a]
 
 
-def _numeric_det(rows):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def certify_nonzero(matrix, trials=20, seed=0, exact_cap=EXACT_SIDE_CAP):
     """Random evaluation of the determinant at rationals from a fixed pool.
 
     Treating every derivative symbol as an independent unknown is sound
     here: distinct derivatives are algebraically independent, so a nonzero
-    evaluation certifies a nonzero determinant.  Zero can only be proven
+    evaluation certifies a nonzero determinant.  Each evaluated matrix is
+    cleared of denominators and eliminated by ``algebra._bareiss``; it is
+    nonsingular when every column finds a pivot.  Zero can only be proven
     by the exact determinant, attempted when the side is small enough.
     """
     rng = random.Random(seed)
-    grid = [list(row) for row in matrix.entries]
-    names = sorted({s for row in grid for p in row for s in p.symbols()},
-                   key=lambda s: s.key)
+    names = sorted({s for row in matrix.entries for p in row
+                    for s in p.symbols()}, key=lambda s: s.key)
     for _ in range(trials):
         values = {s: rng.choice(_POOL) for s in names}
-        numeric = [[p.evaluate(values) for p in row] for row in grid]
-        if _numeric_det(numeric) != 0:
+        numeric = [[p.evaluate(values) for p in row] for row in matrix.entries]
+        cols, _, _ = _bareiss(_int_rows(numeric)[0])
+        if len(cols) == matrix.side:
             return Verdict.NONZERO_CERTIFIED
     if matrix.side <= exact_cap:
         if matrix.determinant().is_zero():

@@ -6,6 +6,7 @@ shares no code with the library paths it checks.
 
 import copy
 import gc
+import hashlib
 import pickle
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from diffres import algebra
 from diffres.algebra import (
     Frac,
     Poly,
@@ -361,6 +363,11 @@ def test_determinant_rejects_nonsquare():
         determinant([])
 
 
+def numeric_h(m):
+    """The Bareiss route takes [H | f] when every entry of H is a constant."""
+    return all(as_poly(e).is_constant() for row in m for e in row[:-1])
+
+
 def permutation_matrices():
     """Every permutation matrix of side <= 5 whose entries are distinct
     symbols, with its determinant sign(sigma) times the product of the
@@ -422,9 +429,79 @@ def test_determinant_matches_cofactor_oracle_random():
     cases += [(m, cofactor_det(m)) for m in sparse_frames(rng, syms)]
     cases += permutation_matrices()
     for m, expected in cases:
-        assert _det_bareiss(m) == expected
+        if numeric_h(m):
+            assert _det_bareiss(m) == expected
         assert _det_laplace(m) == expected
         assert determinant(m) == expected
+
+
+def numeric_h_frames(rng):
+    """Seeded frames [H | f] of side 1-7 for the integer route: H holds
+    rationals with denominators up to 6, often a zero where the top row
+    would pivot (a row swap), sometimes a zero row or a zero column; each
+    free entry sums up to four rational multiples of monomials that the
+    rows share, so the merges of the free column cancel and re-add."""
+    f0, f1, f2 = (Poly.var(sym(f"f{i}")) for i in range(3))
+    monos = [f0, f1, f2, f0 * f1, Poly.var(sym("f0", 1)), Poly.one()]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        density = rng.choice([0.3, 0.6, 0.9])
+        m = [[Poly.const(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 6])))
+              if rng.random() < density else Poly.zero()
+              for _ in range(n - 1)] for _ in range(n)]
+        for i, j in enumerate(rng.sample(range(n), n)):
+            if j < n - 1 and m[i][j].is_zero():
+                m[i][j] = Poly.const(rng.choice([-2, -1, 1, 3]))
+        if n > 2 and rng.random() < 0.5:
+            m[0][0] = Poly.zero()
+        for row in m:
+            row.append(Poly.sum(rng.choice(monos) * Fraction(rng.randint(-3, 3),
+                                                             rng.randint(1, 4))
+                                for _ in range(rng.randint(0, 4))))
+        shape = rng.choice(["zero row", "zero column", "plain", "plain"])
+        if shape == "zero row":
+            m[rng.randrange(n)][:n - 1] = [Poly.zero()] * (n - 1)
+        elif shape == "zero column" and n > 1:
+            c = rng.randrange(n - 1)
+            for row in m:
+                row[c] = Poly.zero()
+        yield m
+
+
+def ordered_terms_digest(polys):
+    """sha256 over the ordered terms of each polynomial, coefficient type
+    included."""
+    h = hashlib.sha256()
+    for p in polys:
+        h.update(repr([(tuple((s.name, s.order, s.constant, e) for s, e in mono),
+                        type(c).__name__, str(c))
+                       for mono, c in p.terms.items()]).encode())
+    return h.hexdigest()
+
+
+def test_integer_route_matches_cofactor_oracle_random():
+    frames = list(numeric_h_frames(random.Random(41)))
+    dets = []
+    for m in frames:
+        expected = cofactor_det(m)
+        assert numeric_h(m)
+        det = _det_bareiss(m)
+        assert det == expected
+        assert _det_laplace(m) == expected
+        assert determinant(m) == expected
+        assert all(type(c) is Fraction for c in det.terms.values())
+        dets.append(det)
+    assert sum(len(m) == 1 for m in frames) >= 5
+    assert sum(not d.is_zero() for d in dets) >= 60
+    assert sum(len(d.terms) >= 3 for d in dets) >= 30
+
+
+def test_integer_route_keeps_the_term_order():
+    """The ordered terms of ``determinant`` on the frames above, as the
+    Bareiss elimination over ``Poly`` entries gave them."""
+    dets = [determinant(m) for m in numeric_h_frames(random.Random(41))]
+    assert ordered_terms_digest(dets) == (
+        "c17a46d7e10bf28e296c7c94505587a0c1a501d8b7f90d4210aee14f6c756e14")
 
 
 def test_laplace_leaves_no_garbage_cycle():
@@ -522,6 +599,38 @@ def test_rank_matches_minor_oracle_random():
             for row in m:
                 row[c] = Poly.zero()
         assert rank(m) == rank_by_minors(m)
+
+
+def test_rank_grows_past_a_point_where_the_entries_vanish(monkeypatch):
+    """``rank`` eliminates at one fixed point.  Entries that vanish there
+    find no pivot, and the minors bordering the pivots that were found,
+    taken by ``determinant``, restore the symbolic rank."""
+    x, y = sym("x"), sym("y")
+    seen = []
+    evaluate = Poly.evaluate
+    monkeypatch.setattr(Poly, "evaluate",
+                        lambda p, values: seen.append(values) or evaluate(p, values))
+    rank([[x, y]])
+    point = seen[0]
+    bordered = []
+    det = algebra.determinant
+    monkeypatch.setattr(algebra, "determinant",
+                        lambda m: bordered.append(len(m)) or det(m))
+    X, Y, z = Poly.var(x) - point[x], Poly.var(y) - point[y], Poly.zero()
+    cases = [
+        ([[X]], 1),
+        ([[X, Y], [Y, X]], 2),
+        ([[X, Y, X + Y], [Y, X, X + Y], [X * Y, z, X * Y]], 2),
+        ([[X, X * Y], [Y, Y * Y]], 1),
+        ([[x, y], [point[x], point[y]]], 2),        # rank 1 at the point
+        ([[z, X, z], [Y, z, z], [z, z, X * Y + 1]], 3),
+    ]
+    for m, want in cases:
+        bordered.clear()
+        assert rank(m) == want == rank_by_minors(m)
+        assert bordered, m
+    bordered.clear()
+    assert rank([[x, y], [y, x]]) == 2 and not bordered
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ independently expanded derivative of the source polynomial.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from diffres import algebra
-from diffres.algebra import Poly, rank, sym
+from diffres.algebra import Poly, determinant, rank, sym
 from diffres.errors import (BetaOmegaViolated, ColumnMissing, NotDefinable,
                             NotDifferentiallyEssential)
 from diffres.formulas import (FormulaMatrix, FormulaSpec, Kind, Verdict,
@@ -25,6 +27,7 @@ from diffres.systems import (LinearDiffPoly, LinearSystem, linear_poly,
 from conftest import (GENERIC_FOUR_VALUES, SE_DE_2, SE_DE_3, four_eq_system,
                       generic_four_system, generic_three_system,
                       motivation_system, pattern_system, tall_order_system, v)
+from test_algebra import numeric_h_frames
 
 
 def skewed_system():
@@ -277,6 +280,16 @@ def test_co_order_of_a_symbolic_rank_deficient_frame():
     assert rank_homogeneous(matrix) == 9
 
 
+def test_co_order_of_the_generic_frames_is_zero():
+    """Full rank at the evaluation point settles these symbolic frames
+    without a symbolic minor."""
+    for system in (motivation_system(), generic_three_system(),
+                   generic_four_system()):
+        matrix = assemble(system, spec_fres(system))
+        assert co_order(matrix) == 0
+        assert rank_homogeneous(matrix) == matrix.side - 1
+
+
 def test_symbol_matrix_of_generic_system():
     sigma = symbol_matrix(generic_four_system())
     names = [[e for e in row] for row in sigma]
@@ -330,3 +343,20 @@ def test_certification_of_constant_matrices():
     eye = FormulaMatrix(rows=((1, 0),), columns=(),
                         entries=((Poly.one(),),), spec=spec)
     assert certify_nonzero(eye, trials=1) is Verdict.NONZERO_CERTIFIED
+
+
+def test_certification_matches_the_determinant_on_numeric_frames():
+    """Each evaluated frame goes through the integer elimination: with no
+    exact fallback, exactly the frames with a nonzero determinant are
+    certified, rational entries, zero rows and zero columns included."""
+    spec = FormulaSpec(Kind.GENERAL, {1: 0}, {})
+    verdicts = []
+    for m in numeric_h_frames(random.Random(43)):
+        matrix = FormulaMatrix(rows=(), columns=(), spec=spec,
+                               entries=tuple(tuple(row) for row in m))
+        verdict = certify_nonzero(matrix, trials=4, seed=2, exact_cap=0)
+        assert verdict is (Verdict.UNKNOWN if determinant(m).is_zero()
+                           else Verdict.NONZERO_CERTIFIED)
+        verdicts.append(verdict)
+    assert verdicts.count(Verdict.UNKNOWN) >= 20
+    assert verdicts.count(Verdict.NONZERO_CERTIFIED) >= 60
