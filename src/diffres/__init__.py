@@ -1,21 +1,12 @@
-"""Exact determinant formulas and elimination for linear ODE systems."""
+"""Exact determinant formulas and elimination for linear ODE systems.
 
-from .algebra import (
-    Frac,
-    Poly,
-    Sym,
-    as_poly,
-    const_sym,
-    determinant,
-    exact_div,
-    format_poly,
-    rank,
-    sym,
-)
+``__all__`` holds the names that the README, the benchmark and the
+acceptance tests use; every other public name is imported from its
+submodule.  ``cli`` and ``sysfile`` are submodules, loaded on first use.
+"""
+
+from .algebra import Frac, Poly, const_sym, exact_div, sym
 from .formulas import (
-    FormulaMatrix,
-    FormulaSpec,
-    Kind,
     Verdict,
     assemble,
     certify_nonzero,
@@ -23,137 +14,77 @@ from .formulas import (
     dfres,
     order_bounds,
     rank_homogeneous,
-    spec_cf,
     spec_cres,
     spec_fres,
-    spec_general,
-    symbol_matrix,
     zero_columns,
 )
 from .perturb import (
-    EliminationReport,
-    FractionOperator,
-    OperatorDecomposition,
-    Perturbation,
-    compose,
     decompose_linear,
     default_perturbation,
-    divide_left,
     eliminate,
     extract_resultant,
     gcld,
     id_primitive_part,
     lowest_p_coefficient,
-    perturb_system,
-    perturbed_determinant,
     perturbed_matrix,
-    phi_perturbation,
     verify_membership,
 )
 from .structure import (
-    PatternMatrix,
-    SubsystemCertificate,
     enumerate_super_essential,
     is_differentially_essential,
-    is_irredundant,
     is_super_essential,
     pattern_matrix,
+    pattern_sym,
     restrict,
-    structural_rank,
+    row_deleted_matching,
     super_essential_subsystem,
 )
-from .sysfile import (
-    SystemDocument,
-    parse_document,
-    parse_perturbation,
-    parse_poly,
-    render_document,
-    render_poly,
-)
 from .systems import (
-    DiffOperator,
-    LinearDiffPoly,
     LinearSystem,
-    OrderProfile,
     constant,
     linear_poly,
-    nu,
     order_profile,
-    param_sym,
     specialize,
-    validate,
 )
 
 __all__ = [
-    "DiffOperator",
-    "EliminationReport",
-    "FormulaMatrix",
-    "FormulaSpec",
     "Frac",
-    "FractionOperator",
-    "Kind",
-    "LinearDiffPoly",
     "LinearSystem",
-    "OperatorDecomposition",
-    "OrderProfile",
-    "PatternMatrix",
-    "Perturbation",
     "Poly",
-    "SubsystemCertificate",
-    "Sym",
-    "SystemDocument",
     "Verdict",
-    "as_poly",
     "assemble",
     "certify_nonzero",
+    "cli",
     "co_order",
-    "compose",
     "const_sym",
     "constant",
     "decompose_linear",
     "default_perturbation",
-    "determinant",
     "dfres",
-    "divide_left",
     "eliminate",
     "enumerate_super_essential",
     "exact_div",
     "extract_resultant",
-    "format_poly",
     "gcld",
     "id_primitive_part",
     "is_differentially_essential",
-    "is_irredundant",
     "is_super_essential",
     "linear_poly",
     "lowest_p_coefficient",
-    "nu",
     "order_bounds",
     "order_profile",
-    "param_sym",
-    "parse_document",
-    "parse_perturbation",
-    "parse_poly",
     "pattern_matrix",
-    "perturb_system",
-    "perturbed_determinant",
+    "pattern_sym",
     "perturbed_matrix",
-    "phi_perturbation",
-    "rank",
     "rank_homogeneous",
-    "render_document",
-    "render_poly",
     "restrict",
-    "spec_cf",
+    "row_deleted_matching",
     "spec_cres",
     "spec_fres",
-    "spec_general",
     "specialize",
-    "structural_rank",
     "super_essential_subsystem",
     "sym",
-    "symbol_matrix",
-    "validate",
+    "sysfile",
     "verify_membership",
     "zero_columns",
 ]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 
-from .errors import DivisionByZero, NonSquare, NotDivisible
+from .errors import DivisionByZero, InputError, NonSquare, NotDivisible
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -59,10 +59,13 @@ _SYM_CACHE: dict[tuple, Sym] = {}
 
 
 def sym(name, order=0, constant=False):
-    """Interning factory; the only way to obtain a Sym."""
+    """Interning factory; the only way to obtain a Sym.  A negative order
+    is an InputError."""
     k = (name, order, constant)
     s = _SYM_CACHE.get(k)
     if s is None:
+        if order < 0:
+            raise InputError(f"symbol {name} of negative order {order}")
         s = _SYM_CACHE[k] = Sym(name, order, constant)
     return s
 
@@ -437,10 +440,10 @@ def _term_cmp(a, b):
     return _mono_cmp(ma, mb)
 
 
-def format_poly(p, mono_cmp=_term_cmp):
+def format_poly(p):
     if not p.terms:
         return "0"
-    monos = sorted(p.terms, key=cmp_to_key(mono_cmp), reverse=True)
+    monos = sorted(p.terms, key=cmp_to_key(_term_cmp), reverse=True)
     parts = []
     for m in monos:
         c = p.terms[m]

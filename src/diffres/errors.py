@@ -42,10 +42,6 @@ class EmptyColumn(MathError):
         super().__init__(f"parameter u{column} occurs in no polynomial")
 
 
-class InconsistentAssignment(InputError):
-    """A specialization assigns the same symbol twice."""
-
-
 class AssumptionViolated(MathError):
     """One of the standing assumptions on the system does not hold."""
 

@@ -113,7 +113,7 @@ def spec_cf(system):
     return FormulaSpec(Kind.CF, bounds, intervals)
 
 
-def _check_beta_omega(system, beta, omega, conditions=("b1", "b2")):
+def _check_beta_omega(system, beta, omega):
     n = system.n
     if len(beta) != system.params or len(omega) != n:
         raise BetaOmegaViolated(
@@ -123,19 +123,17 @@ def _check_beta_omega(system, beta, omega, conditions=("b1", "b2")):
         raise BetaOmegaViolated("beta and omega entries must be >= 0")
     big_omega = sum(omega)
     beta_total = sum(beta)
-    if "b1" in conditions:
-        for i in range(n):
-            if big_omega - omega[i] - beta_total < 0:
+    for i in range(n):
+        if big_omega - omega[i] - beta_total < 0:
+            raise BetaOmegaViolated(
+                f"(b1) fails at row {i + 1}: "
+                f"{big_omega} - {omega[i]} - {beta_total} < 0")
+    for i, f in enumerate(system.polys):
+        for j, op in f.ops.items():
+            if op.deg() > omega[i] - beta[j - 1]:
                 raise BetaOmegaViolated(
-                    f"(b1) fails at row {i + 1}: "
-                    f"{big_omega} - {omega[i]} - {beta_total} < 0")
-    if "b2" in conditions:
-        for i, f in enumerate(system.polys):
-            for j, op in f.ops.items():
-                if op.deg() > omega[i] - beta[j - 1]:
-                    raise BetaOmegaViolated(
-                        f"(b2) fails at operator ({i + 1}, {j}): degree "
-                        f"{op.deg()} > {omega[i]} - {beta[j - 1]}")
+                    f"(b2) fails at operator ({i + 1}, {j}): degree "
+                    f"{op.deg()} > {omega[i]} - {beta[j - 1]}")
     return big_omega, beta_total
 
 
@@ -243,32 +241,8 @@ def co_order(matrix):
 
 
 # ---------------------------------------------------------------------------
-# leading symbols and order bounds
+# order bounds
 # ---------------------------------------------------------------------------
-
-
-def symbol_matrix(system, beta=None, omega=None):
-    """n x (n-1) grid of the coefficients at derivative order
-    omega_i - beta_j; defaults take beta from the upper gap profile and
-    omega from the polynomial orders."""
-    if beta is None or omega is None:
-        profile = order_profile(system)
-        if beta is None:
-            beta = [profile.high[j] for j in sorted(profile.high)]
-        if omega is None:
-            omega = list(profile.orders)
-    _check_beta_omega(system, beta, omega, conditions=("b2",))
-    out = []
-    for i, f in enumerate(system.polys):
-        row = []
-        for j in range(1, system.params + 1):
-            op = f.ops.get(j)
-            if op is None:
-                row.append(Poly.zero())
-            else:
-                row.append(op.coefficient(omega[i] - beta[j - 1]))
-        out.append(row)
-    return out
 
 
 def order_bounds(system):

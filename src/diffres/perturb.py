@@ -24,7 +24,6 @@ from .algebra import (Frac, Poly, _det_with_image, _mono_gcd, _substitution,
                       as_poly, const_sym, exact_div, sym)
 from .errors import (
     AssumptionViolated,
-    BetaOmegaViolated,
     DivisionByZero,
     EmptyInput,
     NotDefinable,
@@ -161,38 +160,6 @@ def default_perturbation(system):
     return Perturbation(tuple(placed), matching=pairs)
 
 
-def phi_perturbation(beta, omega):
-    """The closed-form perturbation attached to a shift/degree pair.
-
-    Row i is shifted by the (omega_i - beta_{n-i})-th derivative of
-    parameter n-i plus parameter n-i+1 itself; the first row lacks the
-    second term and the last row the first.
-    """
-    beta = tuple(int(b) for b in beta)
-    omega = tuple(int(w) for w in omega)
-    n = len(omega)
-    if len(beta) != n - 1:
-        raise BetaOmegaViolated(
-            f"need {n - 1} shifts for {n} degrees, got {len(beta)}")
-    if any(b < 0 for b in beta) or any(w < 0 for w in omega):
-        raise BetaOmegaViolated("shifts and degrees must be non-negative")
-    for i in range(1, n):
-        if omega[i - 1] - beta[n - i - 1] < 0:
-            raise BetaOmegaViolated(
-                f"(b3) fails at row {i}: degree {omega[i - 1]} is below "
-                f"shift {beta[n - i - 1]} of column {n - i}")
-    terms = []
-    for i in range(1, n + 1):
-        ops = {}
-        if i < n:
-            ops[n - i] = {omega[i - 1] - beta[n - i - 1]: 1}
-        if i > 1:
-            ops.setdefault(n - i + 1, {})
-            ops[n - i + 1][0] = ops[n - i + 1].get(0, 0) + 1
-        terms.append(LinearDiffPoly(Poly.zero(), ops))
-    return Perturbation(tuple(terms))
-
-
 def perturb_system(system, pert):
     """Subtract p times each perturbation term from the polynomials."""
     if pert.n != system.n:
@@ -268,11 +235,6 @@ class OperatorDecomposition:
 
     operators: dict
 
-    def expand(self):
-        return Poly.sum(c * Poly.var(sym(name, k))
-                        for name, op in self.operators.items()
-                        for k, c in op.coeffs.items())
-
 
 def decompose_linear(B, names):
     """Split B as a sum of operators applied to the named symbols.
@@ -298,19 +260,6 @@ def decompose_linear(B, names):
     return OperatorDecomposition(
         {name: DiffOperator({k: Poly(t) for k, t in table[name].items()})
          for name in names})
-
-
-def compose(outer, inner):
-    """Operator composition; differentiation acts on the inner coefficients."""
-    out = {}
-    for k, c in inner.coeffs.items():
-        for j, b in outer.coeffs.items():
-            d = c
-            for l in range(j + 1):
-                key = j - l + k
-                out[key] = out.get(key, Poly.zero()) + b * d * math.comb(j, l)
-                d = d.derive()
-    return DiffOperator(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +301,6 @@ class FractionOperator:
         if not self.coeffs:
             raise ValueError("zero operator has no degree")
         return len(self.coeffs) - 1
-
-    def support(self):
-        return [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
-
-    def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Frac.of(0)
 
     def __repr__(self):
         if not self.coeffs:
@@ -418,13 +359,6 @@ def _divmod_left(a, b):
     return q, r
 
 
-def divide_left(a, b):
-    """Left quotient and remainder as FractionOperators."""
-    q, r = _divmod_left(FractionOperator.of(a).coeffs,
-                        FractionOperator.of(b).coeffs)
-    return (FractionOperator(tuple(_trim(q))), FractionOperator(tuple(r)))
-
-
 def _gcld_pair(a, b):
     a, b = _trim(list(a)), _trim(list(b))
     while b:
@@ -440,19 +374,11 @@ def _monic(g):
     return _trim(_compose_term(g, Frac.of(1) / lead, 0))
 
 
-def gcld(ops):
-    """Greatest common left divisor, normalized to leading coefficient one.
-
-    Left divisors survive composition with a unit on the right, so the
-    Euclidean scheme runs on left remainders and the result is made monic
-    by composing with the inverse of its leading coefficient.
-    """
-    ops = list(ops)
-    if not ops:
-        raise EmptyInput("no operators to combine")
+def _left_gcd(ops):
+    """A greatest common left divisor of dense operators, as the remainder
+    sequence leaves it (not monic); ZeroInput if every operator is zero."""
     g = []
-    for op in ops:
-        a = list(FractionOperator.of(op).coeffs)
+    for a in ops:
         if not a:
             continue
         g = a if not g else _gcld_pair(g, a)
@@ -460,7 +386,20 @@ def gcld(ops):
             break
     if not g:
         raise ZeroInput("every operator is zero")
-    return FractionOperator(tuple(_monic(g)))
+    return g
+
+
+def gcld(ops):
+    """Greatest common left divisor, normalized to leading coefficient one.
+
+    Left divisors survive composition with a unit on the right, so the
+    Euclidean scheme runs on left remainders and the result is made monic
+    by composing with the inverse of its leading coefficient.
+    """
+    ops = [list(FractionOperator.of(op).coeffs) for op in ops]
+    if not ops:
+        raise EmptyInput("no operators to combine")
+    return FractionOperator(tuple(_monic(_left_gcd(ops))))
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +443,16 @@ def id_primitive_part(B, names):
     if B.is_zero():
         raise ZeroInput("the zero combination has no primitive part")
     dec = decompose_linear(B, names)
-    present = [(name, op) for name, op in dec.operators.items()
-               if not op.is_zero()]
-    g = gcld([op for _, op in present])
-    glist = list(g.coeffs)
+    present = [(name, list(FractionOperator.of(op).coeffs))
+               for name, op in dec.operators.items() if not op.is_zero()]
+    # Any common left divisor serves, so it is not made monic: composing
+    # with 1/lead differentiates that fraction up to deg g times, and with
+    # a symbolic lead each derivative squares its denominator.
+    g = _left_gcd([a for _, a in present])
     pending = []
     common = as_poly(1)
-    for name, op in present:
-        q, r = _divmod_left(FractionOperator.of(op).coeffs, glist)
+    for name, a in present:
+        q, r = _divmod_left(a, g)
         if _trim(list(r)):
             raise NotDivisible("the common left factor fails to divide "
                                f"the operator of {name}")

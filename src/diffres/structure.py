@@ -199,14 +199,6 @@ class SubsystemCertificate:
         return len(self.members) != self.pattern.n
 
     @cached_property
-    def matchings(self):
-        """i -> the least perfect matching of the members other than i."""
-        adjacency = {r: self.pattern.rows[r - 1] for r in self.members}
-        return {i: _canonical_matching([r for r in self.members if r != i],
-                                       adjacency)
-                for i in self.members}
-
-    @cached_property
     def kernel_row(self):
         """The left kernel vector of X supported on the members, as Frac
         coefficients with 1 at the first member.
@@ -278,12 +270,13 @@ def _subsets(n, minimum):
             yield s
 
 
-def enumerate_super_essential(system, bound=ENUMERATION_BOUND):
+def enumerate_super_essential(system):
     """All subsets of size >= 2 that are super essential on their own
-    active parameters."""
+    active parameters; TooLarge above ENUMERATION_BOUND polynomials."""
     pattern = pattern_matrix(system)
-    if pattern.n > bound:
-        raise TooLarge(f"enumeration over {pattern.n} > {bound} polynomials")
+    if pattern.n > ENUMERATION_BOUND:
+        raise TooLarge(f"enumeration over {pattern.n} > {ENUMERATION_BOUND} "
+                       f"polynomials")
     out = []
     for s in _subsets(pattern.n, 2):
         sub, _ = pattern.restricted(s)
@@ -291,8 +284,3 @@ def enumerate_super_essential(system, bound=ENUMERATION_BOUND):
             out.append(s)
     return out
 
-
-def is_irredundant(system):
-    """No proper subsystem can already eliminate: |S| <= nu(S) for each
-    proper nonempty S, which by Hall's theorem is super essentiality."""
-    return is_super_essential(system)

@@ -503,15 +503,3 @@ def render_equation(f, document=None):
                     q, _mono_factors(mono, document) + [shown + _suffix(k)]))
     return _join(pieces)
 
-
-def render_document(document):
-    lines = []
-    if document.constants:
-        lines.append("constants: " + ", ".join(document.constants) + ";")
-    if document.symbols:
-        lines.append("diff: " + ", ".join(document.symbols) + ";")
-    lines.append("params: " + ", ".join(document.parameters) + ";")
-    lines.append("")
-    for name, f in document.equations:
-        lines.append(f"eq {name}: {render_equation(f, document)};")
-    return "\n".join(lines) + "\n"

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import Poly, as_poly, sym
-from .errors import AssumptionViolated, EmptyColumn, InconsistentAssignment
+from .errors import AssumptionViolated, EmptyColumn, InputError
 
 
 def param_sym(j, k=0):
@@ -161,7 +162,11 @@ class LinearDiffPoly:
 
 
 class LinearSystem:
-    """An ordered tuple of linear differential polynomials over u_1..u_m."""
+    """An ordered tuple of linear differential polynomials over u_1..u_m.
+
+    The parameters occur only through the operators: a coefficient or free
+    term that names one of u_1..u_m is an InputError, as in a system file.
+    """
 
     __slots__ = ("polys", "params")
 
@@ -171,10 +176,18 @@ class LinearSystem:
             raise ValueError("a system needs at least two polynomials")
         if params < 1:
             raise ValueError("a system needs at least one parameter slot")
+        names = {param_sym(j).name for j in range(1, params + 1)}
         for f in polys:
             for j in f.ops:
                 if not 1 <= j <= params:
                     raise ValueError(f"operator index {j} outside 1..{params}")
+            for c in chain((f.free,), *(op.coeffs.values()
+                                        for op in f.ops.values())):
+                for mono in c.terms:
+                    for s, _ in mono:
+                        if s.name in names:
+                            raise InputError(f"parameter symbol {s!r} inside "
+                                             f"a coefficient or free term")
         self.polys = polys
         self.params = params
 
@@ -248,8 +261,7 @@ class OrderProfile:
     span[j]  low[j] + high[j],
     total    sum of span[j] over the parameters,
     order_sum  sum of the polynomial orders,
-    orders   the polynomial orders,
-    intervals[(i, j)]  [low[j], o_i - high[j]] for each nonzero operator.
+    orders   the polynomial orders.
     """
 
     low: dict
@@ -258,7 +270,6 @@ class OrderProfile:
     total: int
     order_sum: int
     orders: tuple
-    intervals: dict
 
     def column_interval(self, j):
         """Derivative orders of u_j indexing determinant columns."""
@@ -278,37 +289,22 @@ def order_profile(system):
                 f"polynomial {i + 1} involves no parameter")
     low = {}
     high = {}
-    intervals = {}
     for j in range(1, system.params + 1):
         rows = [(i, f.ops[j]) for i, f in enumerate(system.polys) if j in f.ops]
         if not rows:
             raise EmptyColumn(j)
         low[j] = min(op.ldeg() for _, op in rows)
         high[j] = min(orders[i] - op.deg() for i, op in rows)
-        for i, op in rows:
-            intervals[(i + 1, j)] = (low[j], orders[i] - high[j])
     span = {j: low[j] + high[j] for j in low}
     return OrderProfile(low=low, high=high, span=span,
                         total=sum(span.values()),
                         order_sum=sum(orders),
-                        orders=orders,
-                        intervals=intervals)
+                        orders=orders)
 
 
 # ---------------------------------------------------------------------------
 # specialization
 # ---------------------------------------------------------------------------
-
-
-def _as_assignment(assignment):
-    if isinstance(assignment, dict):
-        return dict(assignment)
-    out = {}
-    for name, value in assignment:
-        if name in out:
-            raise InconsistentAssignment(f"symbol '{name}' assigned twice")
-        out[name] = value
-    return out
 
 
 def specialize(system, assignment):
@@ -318,7 +314,7 @@ def specialize(system, assignment):
     replaced by the corresponding derivative of the image.  Operators whose
     coefficients all vanish are dropped.
     """
-    images = {name: as_poly(v) for name, v in _as_assignment(assignment).items()}
+    images = {name: as_poly(v) for name, v in assignment.items()}
     new_polys = []
     for f in system.polys:
         free = f.free.substitute(images)

@@ -12,14 +12,14 @@ import random
 import pytest
 
 from diffres import algebra
-from diffres.algebra import Poly, determinant, rank, sym
+from diffres.algebra import Poly, determinant, sym
 from diffres.errors import (BetaOmegaViolated, ColumnMissing, NotDefinable,
                             NotDifferentiallyEssential)
 from diffres.formulas import (FormulaMatrix, FormulaSpec, Kind, Verdict,
                               assemble, certify_nonzero, co_order, dfres,
                               order_bounds, rank_homogeneous, spec_cf,
                               spec_cres, spec_fres, spec_general,
-                              symbol_matrix, zero_columns)
+                              zero_columns)
 from diffres.perturb import default_perturbation, perturbed_matrix
 from diffres.systems import (LinearDiffPoly, LinearSystem, linear_poly,
                              param_sym, specialize)
@@ -288,22 +288,6 @@ def test_co_order_of_the_generic_frames_is_zero():
         matrix = assemble(system, spec_fres(system))
         assert co_order(matrix) == 0
         assert rank_homogeneous(matrix) == matrix.side - 1
-
-
-def test_symbol_matrix_of_generic_system():
-    sigma = symbol_matrix(generic_four_system())
-    names = [[e for e in row] for row in sigma]
-    assert names[0] == [v("c111"), Poly.zero(), v("c131")]
-    assert names[1] == [Poly.zero(), v("c221"), Poly.zero()]
-    assert names[2] == [v("c310"), Poly.zero(), v("c330")]
-    assert names[3] == [v("c410"), v("c420"), v("c430")]
-    assert rank(sigma) == 3
-
-
-def test_symbol_matrix_rejects_incompatible_shifts():
-    with pytest.raises(BetaOmegaViolated):
-        symbol_matrix(four_eq_system(), beta=[1, 0, 0],
-                      omega=[2, 0, 2, 2])
 
 
 def test_order_bounds():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from diffres.algebra import (Frac, Poly, _det_with_image, const_sym,
                              determinant, exact_div, sym)
 from diffres.errors import (
     AssumptionViolated,
-    BetaOmegaViolated,
     EmptyInput,
     NotDPPEShaped,
     NotLinear,
@@ -31,10 +31,9 @@ from diffres.formulas import Verdict, certify_nonzero, dfres, spec_cres
 from diffres.perturb import (
     FractionOperator,
     Perturbation,
-    compose,
+    _divmod_left,
     decompose_linear,
     default_perturbation,
-    divide_left,
     eliminate,
     extract_resultant,
     gcld,
@@ -43,7 +42,6 @@ from diffres.perturb import (
     perturb_system,
     perturbed_determinant,
     perturbed_matrix,
-    phi_perturbation,
     verify_membership,
 )
 from diffres.structure import is_super_essential
@@ -57,6 +55,27 @@ from diffres.systems import (
 
 def term(ops):
     return LinearDiffPoly(Poly.zero(), ops)
+
+
+def expand(decomposition):
+    """The combination that a decomposition splits, put back together."""
+    return Poly.sum(c * Poly.var(sym(name, k))
+                    for name, op in decomposition.operators.items()
+                    for k, c in op.coeffs.items())
+
+
+def compose(outer, inner):
+    """Operator composition; differentiation acts on the inner coefficients.
+    The oracle for left division and gcld."""
+    out = {}
+    for k, c in inner.coeffs.items():
+        for j, b in outer.coeffs.items():
+            d = c
+            for l in range(j + 1):
+                key = j - l + k
+                out[key] = out.get(key, Poly.zero()) + b * d * math.comb(j, l)
+                d = d.derive()
+    return DiffOperator(out)
 
 
 def skewed_chain_system():
@@ -117,25 +136,6 @@ def test_default_perturbation_reorders_an_awkward_chain():
     assert eps.matching == ((1, 1), (2, 2))
     det = perturbed_determinant(system, eps)
     assert not det.is_zero()
-
-
-def test_phi_perturbation_matches_the_worked_values():
-    eps = phi_perturbation((0, 0, 0), (2, 0, 2, 2))
-    assert eps.terms == (
-        term({3: {2: 1}}),
-        term({2: {0: 1}, 3: {0: 1}}),
-        term({1: {2: 1}, 2: {0: 1}}),
-        term({1: {0: 1}}),
-    )
-
-
-def test_phi_perturbation_rejects_bad_data():
-    with pytest.raises(BetaOmegaViolated, match="b3"):
-        phi_perturbation((0, 0, 3), (2, 0, 2, 2))
-    with pytest.raises(BetaOmegaViolated):
-        phi_perturbation((0, 0), (2, 0, 2, 2))
-    with pytest.raises(BetaOmegaViolated):
-        phi_perturbation((0, -1, 0), (2, 0, 2, 2))
 
 
 def test_perturbation_terms_must_be_homogeneous():
@@ -236,7 +236,7 @@ def test_the_operator_decomposition_is_the_known_one(singular_run):
         "c3": {3: 24, 2: 72, 1: -24, 0: -72},
         "c4": {2: 48, 0: -48},
     })
-    assert dec.expand() == low
+    assert expand(dec) == low
 
 
 def test_the_common_left_factor_is_quadratic(singular_run):
@@ -257,7 +257,14 @@ def test_the_primitive_part_is_the_known_eliminant(singular_run):
 
 def test_the_shifted_formula_gives_the_same_eliminant():
     system = four_eq_system(1)
-    eps = phi_perturbation((0, 0, 0), (2, 0, 2, 2))
+    # the closed-form perturbation of the shift/degree pair beta = (0, 0, 0),
+    # omega = (2, 0, 2, 2)
+    eps = Perturbation((
+        term({3: {2: 1}}),
+        term({2: {0: 1}, 3: {0: 1}}),
+        term({1: {2: 1}, 2: {0: 1}}),
+        term({1: {0: 1}}),
+    ))
     matrix = perturbed_matrix(system, eps, spec=spec_cres(system))
     assert matrix.side == 22
     _, low = lowest_p_coefficient(matrix.determinant())
@@ -302,7 +309,7 @@ def test_decompose_linear_of_the_regular_determinant():
         "c3": {0: 192, 1: 64, 2: -192, 3: -320},
         "c4": {0: 128, 2: 128},
     })
-    assert dec.expand() == det
+    assert expand(dec) == det
     g = gcld(dec.operators.values())
     assert g == FractionOperator.of({0: 1})
     prim = id_primitive_part(det, C4)
@@ -322,9 +329,10 @@ def test_decompose_linear_rejects_nonlinear_input():
 def test_left_division_picks_up_the_derivative():
     a = Poly.var(sym("a"))
     da = Poly.var(sym("a", 1))
-    q, r = divide_left(DiffOperator({0: da, 1: a}), DiffOperator({1: a}))
-    assert q == FractionOperator.of({0: 1})
-    assert r == FractionOperator.of({0: da})
+    q, r = _divmod_left(FractionOperator.of({0: da, 1: a}).coeffs,
+                        FractionOperator.of({1: a}).coeffs)
+    assert q == list(FractionOperator.of({0: 1}).coeffs)
+    assert r == list(FractionOperator.of({0: da}).coeffs)
 
 
 def test_gcld_of_one_operator_is_its_monic_form():
@@ -362,8 +370,8 @@ def test_gcld_divides_random_products():
         assert g.coeffs[-1] == Frac.of(1)
         assert g.deg() >= a.deg()
         for product in (left, right):
-            _, r = divide_left(product, g)
-            assert r.is_zero()
+            _, r = _divmod_left(FractionOperator.of(product).coeffs, g.coeffs)
+            assert not r
 
 
 def test_compose_applies_the_product_rule():
@@ -503,6 +511,24 @@ def test_eliminate_switches_to_the_perturbed_branch():
     assert report.membership is True
     assert report.perturbation is not None
     assert any("co-order" in note for note in report.notes)
+
+
+def test_eliminate_on_a_symbolic_rank_deficient_frame():
+    """f3 is c3 plus the parameter part of D f1 + f2, with symbolic
+    coefficients, so c3 - c1' - c2 lies in the ideal.  The frame of side 11
+    has co-order 2; a monic left gcd of the perturbed branch would
+    differentiate 1/lead and square its denominator each time."""
+    f1 = linear_poly(v("c1"), {1: {0: v("a"), 1: v("b")}, 2: {0: v("e")}})
+    f2 = linear_poly(v("c2"), {1: {1: v("g")}, 2: {0: v("h"), 1: v("k")}})
+    df1 = LinearDiffPoly(Poly.zero(), f1.ops).derive()
+    f3 = LinearDiffPoly(v("c3"), {j: df1.ops[j] + f2.ops[j] for j in (1, 2)})
+    report = eliminate(LinearSystem([f1, f2, f3], params=2))
+    assert (report.branch, report.side, report.co_order) == ("perturbed",
+                                                             11, 2)
+    assert report.membership is True
+    target = v("c3") - v("c1", 1) - v("c2")
+    scale = report.output.terms.get(((sym("c3"), 1),), 0)
+    assert scale and report.output == target * scale
 
 
 def test_eliminate_reports_a_proper_subsystem():

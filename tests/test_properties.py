@@ -12,18 +12,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from conftest import v
+from conftest import (SE_DE_1, SE_DE_2, four_eq_system, generic_four_system,
+                      generic_three_system, motivation_system, pattern_system,
+                      tall_order_system, v)
 from test_algebra import numeric_h, substitute_oracle
+from test_structure import hall_irredundant
 from diffres.algebra import (Poly, _det_bareiss, _det_laplace,
                              _det_with_image, as_poly, determinant, rank, sym)
-from diffres.errors import BetaOmegaViolated, NotDefinable
+from diffres.errors import BetaOmegaViolated, MathError, NotDefinable
 from diffres.formulas import (assemble, spec_cf, spec_cres, spec_fres,
                               spec_general, zero_columns)
-from diffres.perturb import (default_perturbation, perturbed_determinant,
-                             verify_membership)
-from diffres.structure import (is_irredundant, is_super_essential,
-                               pattern_matrix, structural_rank)
-from diffres.systems import LinearSystem, linear_poly, order_profile
+from diffres.perturb import (default_perturbation, eliminate,
+                             perturbed_determinant, verify_membership)
+from diffres.structure import (is_super_essential, pattern_matrix,
+                               structural_rank)
+from diffres.systems import (LinearSystem, linear_poly, order_profile,
+                             param_sym)
 
 
 def nonzero_fraction(rng):
@@ -176,7 +180,7 @@ def test_matching_test_agrees_with_enumeration():
     for _ in range(160):
         system = random_system(rng, density=rng.choice([0.3, 0.5, 0.8]))
         verdict = is_super_essential(system)
-        assert verdict == is_irredundant(system)
+        assert verdict == hall_irredundant(pattern_matrix(system))
         seen[verdict] += 1
     assert sum(seen.values()) >= 150
     assert min(seen.values()) >= 10, seen
@@ -244,7 +248,35 @@ def test_perturbed_determinant_never_vanishes():
 
 
 # ---------------------------------------------------------------------------
-# (g) derivations obey the product rule; determinant routes agree
+# (g) no output of eliminate holds a parameter
+# ---------------------------------------------------------------------------
+
+
+def test_eliminate_outputs_hold_no_parameter():
+    rng = random.Random(909)
+    systems = [motivation_system(), tall_order_system(), four_eq_system(5),
+               four_eq_system(1), generic_three_system(),
+               generic_four_system(), pattern_system(SE_DE_1),
+               pattern_system(SE_DE_2)]
+    for symbolic, cap in ((0.0, 14), (0.3, 11)):
+        for _ in range(200):
+            system = random_system(rng, max_order=2, symbolic=symbolic)
+            try:
+                if spec_fres(system).side <= cap:
+                    systems.append(system)
+            except MathError:
+                continue
+    branches = {"direct": 0, "perturbed": 0}
+    for system in systems:
+        report = eliminate(system)
+        params = {param_sym(j).name for j in range(1, system.params + 1)}
+        assert not {s.name for s in report.output.symbols()} & params
+        branches[report.branch] += 1
+    assert branches["direct"] >= 240 and branches["perturbed"] >= 5, branches
+
+
+# ---------------------------------------------------------------------------
+# (h) derivations obey the product rule; determinant routes agree
 # ---------------------------------------------------------------------------
 
 

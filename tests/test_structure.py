@@ -16,7 +16,7 @@ import pytest
 from diffres.algebra import Frac, Poly, rank
 from diffres.errors import AssumptionViolated, TooLarge
 from diffres.structure import (PatternMatrix, enumerate_super_essential,
-                               is_differentially_essential, is_irredundant,
+                               is_differentially_essential,
                                is_super_essential, pattern_matrix,
                                pattern_sym, restrict, row_deleted_matching,
                                structural_rank, super_essential_subsystem)
@@ -102,7 +102,6 @@ def test_subsystem_of_super_essential_system_is_everything():
     cert = super_essential_subsystem(pattern_system(SE_DE_1))
     assert cert.members == (1, 2, 3)
     assert not cert.proper
-    assert set(cert.matchings) == {1, 2, 3}
 
 
 def test_subsystem_certificate_for_rank_deficient_pattern():
@@ -115,7 +114,6 @@ def test_subsystem_certificate_for_rank_deficient_pattern():
     assert not scale.is_zero()
     expected = (Frac.of(0), Frac.of(0), -(x42 / x32) * scale, scale)
     assert cert.kernel_row == expected
-    assert cert.matchings == {3: {4: 2}, 4: {3: 2}}
 
 
 def test_kernel_row_annihilates_pattern_matrix():
@@ -194,8 +192,8 @@ def test_enumeration_bound():
     pattern = as_pattern([[1] * 12 for _ in range(13)])
     with pytest.raises(TooLarge):
         enumerate_super_essential(pattern)
-    # irredundance is one maximum matching, so it needs no bound
-    assert is_irredundant(pattern) == is_super_essential(pattern)
+    # the matching screen needs no bound
+    assert is_super_essential(pattern)
 
 
 def hall_irredundant(pattern):
@@ -217,8 +215,7 @@ def test_irredundance_matches_super_essentiality():
             if not any(row):
                 row[rng.randrange(m)] = 1
         pat = as_pattern(grid)
-        assert is_irredundant(pat) == hall_irredundant(pat)
-        assert is_irredundant(pat) == is_super_essential(pat)
+        assert is_super_essential(pat) == hall_irredundant(pat)
 
 
 def row_deleted_verdicts(pattern):

@@ -11,7 +11,7 @@ from diffres.algebra import Poly, sym
 from diffres.errors import NonlinearInParams, ParseError, UndeclaredSymbol
 from diffres.perturb import default_perturbation
 from diffres.sysfile import (SystemDocument, parse_document,
-                             parse_perturbation, parse_poly, render_document,
+                             parse_perturbation, parse_poly, render_equation,
                              render_poly)
 from diffres.systems import linear_poly
 
@@ -152,7 +152,18 @@ def test_renamed_parameters_map_by_position():
     doc = parse_document("diff: c1, c2;\nparams: x;\n"
                          "eq f1: c1 + 2*x'';\neq f2: c2 + x;")
     assert doc.equations[0][1].ops[1].coefficient(2) == Poly.const(2)
-    assert "2*x''" in render_document(doc)
+    assert "2*x''" in render_equation(doc.equations[0][1], doc)
+
+
+def render_file(doc):
+    """The text of a system file for a parsed document."""
+    lines = [f"{head}: {', '.join(names)};"
+             for head, names in (("constants", doc.constants),
+                                 ("diff", doc.symbols),
+                                 ("params", doc.parameters)) if names]
+    lines += [f"eq {name}: {render_equation(f, doc)};"
+              for name, f in doc.equations]
+    return "\n".join(lines)
 
 
 def test_render_parse_round_trip():
@@ -164,7 +175,7 @@ def test_render_parse_round_trip():
         "diff: c1, c2;\nparams: z;\neq g: c1 - z''; eq h: c2 + 1/2*z;",
     ]:
         doc = parse_document(text)
-        assert parse_document(render_document(doc)) == doc
+        assert parse_document(render_file(doc)) == doc
 
 
 def test_render_poly_orders_by_derivative_then_symbol():

@@ -6,7 +6,7 @@ import pytest
 from conftest import four_eq_system, motivation_system, tall_order_system, v
 
 from diffres.algebra import Poly, sym
-from diffres.errors import AssumptionViolated, EmptyColumn, InconsistentAssignment
+from diffres.errors import AssumptionViolated, EmptyColumn, InputError
 from diffres.systems import (
     DiffOperator,
     LinearDiffPoly,
@@ -93,10 +93,6 @@ def test_profile_motivation_values():
     assert prof.span == {1: 1, 2: 1}
     assert prof.total == 2
     assert prof.order_sum == 7
-    assert prof.intervals[(1, 1)] == (0, 1)
-    assert prof.intervals[(2, 2)] == (1, 3)
-    assert prof.intervals[(3, 2)] == (1, 2)
-    assert (2, 1) not in prof.intervals
 
 
 def test_profile_tall_order_values():
@@ -153,7 +149,36 @@ def test_specialize_generic_coefficients():
     assert 1 not in Q.polys[1].ops  # operator vanished entirely
 
 
-def test_specialize_rejects_duplicate_assignment():
-    P = four_eq_system()
-    with pytest.raises(InconsistentAssignment):
-        specialize(P, [("c1", 0), ("c1", 1)])
+def test_a_parameter_inside_a_coefficient_is_rejected():
+    # f1 = c1 + (u1 + a D) u1: the parser refuses it as nonlinear
+    u1 = Poly.var(param_sym(1))
+    f1 = linear_poly(v("c1"), {1: {0: u1, 1: v("a")}})
+    f2 = linear_poly(v("c2"), {1: {0: v("b")}})
+    with pytest.raises(InputError, match="u1"):
+        LinearSystem([f1, f2], params=1)
+    # a derivative counts too
+    f1 = linear_poly(v("c1"), {1: {0: Poly.var(param_sym(1, 2))}})
+    with pytest.raises(InputError, match="u1"):
+        LinearSystem([f1, f2], params=1)
+
+
+def test_a_parameter_inside_a_free_term_is_rejected():
+    f1 = linear_poly(v("c1") + Poly.var(param_sym(1)), {1: {0: v("a")}})
+    f2 = linear_poly(v("c2"), {1: {0: v("b")}})
+    with pytest.raises(InputError, match="u1"):
+        LinearSystem([f1, f2], params=1)
+    # only u_1..u_m are the parameters of a system with m of them
+    f1 = linear_poly(v("c1") + Poly.var(param_sym(2)), {1: {0: v("a")}})
+    assert LinearSystem([f1, f2], params=1).polys[0] == f1
+    # specialization builds a system too
+    f1 = linear_poly(v("c1"), {1: {0: v("a")}})
+    with pytest.raises(InputError, match="u1"):
+        specialize(LinearSystem([f1, f2], params=1),
+                   {"a": Poly.var(param_sym(1))})
+
+
+def test_symbols_of_negative_order_are_rejected():
+    with pytest.raises(InputError, match="negative"):
+        sym("a", -1)
+    with pytest.raises(InputError, match="negative"):
+        param_sym(1, -2)
