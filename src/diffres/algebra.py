@@ -865,19 +865,58 @@ def _bareiss(rows, free=None):
     return cols, order, sign
 
 
-def _det_bareiss(m):
-    """The Bareiss route of ``determinant``, for a frame [H | f] with a
-    numeric H: each row of H and the coefficients of its f cleared of
-    denominators together, and f carried as ``free``."""
+def _bareiss_frame(m, s):
+    """The determinant of a frame [H | f] whose H holds no symbol but ``s``
+    (None for a numeric H) and whose f does not hold s, and the rank of H
+    over Q(s), by one run of ``_bareiss``.
+
+    Each row of H, with its coefficients in s, and the coefficients of its
+    f are cleared of denominators together, and f is carried as ``free``.
+    By Kronecker substitution s becomes 2^b, with 2^(b-1) above the
+    product over the rows of their sums of absolute coefficients: that
+    product bounds every coefficient of every minor, so no nonzero minor
+    of H vanishes at 2^b (Cauchy's root bound), the pivots count the rank
+    over Q(s), and the balanced base-2^b digits of each coefficient of the
+    result are its coefficients in s, lowest first.
+    """
     n = len(m)
-    ints, scale = _int_rows([[e.constant_value() for e in row[:-1]]
-                             + list(row[-1].terms.values()) for row in m])
-    free = [dict(zip(row[-1].terms, r[n - 1:])) for row, r in zip(m, ints)]
-    cols, order, sign = _bareiss([r[:n - 1] for r in ints], free)
+    ints, scale = _int_rows([[c for e in row for c in e.terms.values()]
+                             for row in m])
+    b = 0
+    if s is not None:
+        b = math.prod(max(1, sum(map(abs, r))) for r in ints).bit_length() + 1
+    rows, free = [], []
+    for row, r in zip(m, ints):
+        r = iter(r)
+        rows.append([sum(next(r) << b * (mono[0][1] if mono else 0)
+                         for mono in e.terms) for e in row[:-1]])
+        free.append(dict(zip(row[-1].terms, r)))
+    cols, order, sign = _bareiss(rows, free)
     if len(cols) < n - 1:
-        return _ZERO
-    return _poly({mono: Fraction(sign * c, scale)
-                  for mono, c in free[order[-1]].items()})
+        return _ZERO, len(cols)
+    if s is None:
+        return _poly({mono: Fraction(sign * c, scale)
+                      for mono, c in free[order[-1]].items()}), n - 1
+    out = {}
+    for mono, c in free[order[-1]].items():
+        c *= sign
+        k = 0
+        while c:
+            digit = c & (1 << b) - 1
+            if digit >> b - 1:
+                digit -= 1 << b
+            if digit:
+                out[_mono_mul(mono, ((s, k),) if k else ())] = Fraction(
+                    digit, scale)
+            c = (c - digit) >> b
+            k += 1
+    return _poly(out), n - 1
+
+
+def _det_bareiss(m, s=None):
+    """The Bareiss route of ``determinant``: the determinant of
+    ``_bareiss_frame``."""
+    return _bareiss_frame(m, s)[0]
 
 
 def _laplace(m, ring):
@@ -937,30 +976,51 @@ def _square(m):
     return [[as_poly(e) for e in row] for row in m]
 
 
-def _numeric_h(m):
-    return all(e.is_constant() for row in m for e in row[:-1])
+def _route(m):
+    """The route rule of ``determinant`` and ``_det_with_image``: (True, s)
+    when H holds no symbol but s (None for a numeric H) and the free
+    column does not hold s, for ``_bareiss_frame``; (False, None) for
+    Laplace."""
+    s = None
+    for row in m:
+        for e in row[:-1]:
+            for mono in e.terms:
+                if mono:
+                    if len(mono) > 1 or s is not None and mono[0][0] is not s:
+                        return False, None
+                    s = mono[0][0]
+    if s is not None and any(t is s for row in m for mono in row[-1].terms
+                             for t, _ in mono):
+        return False, None
+    return True, s
 
 
 def determinant(m):
     """Exact determinant of a square matrix of polynomials.
 
     The frames built here have the form [H | f], with the derived free
-    terms in the last column.  When every entry of H is a rational
-    constant, the integer elimination ``_bareiss`` runs on H with its
-    denominators cleared and carries the last column as one linear form
-    per row.  When H holds symbols, memoized Laplace expansion along the
-    columns, keyed by the unused rows, is used instead.  Both routes are
+    terms in the last column.  When H holds at most one symbol s and f
+    does not hold s, the integer elimination ``_bareiss`` runs on H with
+    its denominators cleared and s replaced by a power of two large enough
+    to read the coefficients in s off the digits of the result, and it
+    carries the last column as one linear form per row.  The perturbed
+    frame of a numeric system, whose H holds only the perturbation
+    variable, takes this route.  Otherwise memoized Laplace expansion
+    along the columns, keyed by the unused rows, is used.  Both routes are
     exact and agree.
     """
     m = _square(m)
-    if _numeric_h(m):
-        return _det_bareiss(m)
+    bareiss, s = _route(m)
+    if bareiss:
+        return _det_bareiss(m, s)
     return _det_laplace(m)
 
 
 def _det_with_image(m, images):
-    """``determinant(m)`` and the packed terms of its image under
-    ``substitute(images)``, which are empty exactly when the image is 0.
+    """``determinant(m)``, the packed terms of its image under
+    ``substitute(images)``, which are empty exactly when the image is 0
+    (None when ``images`` is None), and the rank of H over the fraction
+    field when the route is Bareiss's (None on the Laplace route).
 
     On the Laplace route the determinant stays packed: one ring serves the
     expansion and the substitution, and the determinant is unpacked once.
@@ -971,13 +1031,16 @@ def _det_with_image(m, images):
     ring holds n E plus that many times the largest exponent of an image.
     """
     m = _square(m)
-    if _numeric_h(m):
-        det = _det_bareiss(m)
-        return det, _substitution(det, images)[1]
+    bareiss, s = _route(m)
+    if bareiss:
+        det, pivots = _bareiss_frame(m, s)
+        if images is None:
+            return det, None, pivots
+        return det, _substitution(det, images)[1], pivots
     entries = [e for row in m for e in row]
     symbols = set().union(*(e.symbols() for e in entries))
     derived = {s: _derived_image(images, s)
-               for s in symbols if s.name in images}
+               for s in symbols if images is not None and s.name in images}
     for img in derived.values():
         symbols |= img.symbols()
 
@@ -991,8 +1054,10 @@ def _det_with_image(m, images):
                     default=0)
     ring = _Ring(symbols, len(m) * entry_top + spread * image_top)
     det = _laplace(m, ring)
+    if images is None:
+        return ring.unpack(det), None, None
     return ring.unpack(det), _psubstitute(det, ring, {
-        s: ring.pack(img.terms) for s, img in derived.items()})
+        s: ring.pack(img.terms) for s, img in derived.items()}), None
 
 
 # ---------------------------------------------------------------------------

@@ -627,13 +627,12 @@ def eliminate(system, perturbation="auto"):
     if len(cert.members) != system.n:
         shown = ", ".join(f"f{i}" for i in cert.members)
         notes.append(f"working on the proper subsystem {{{shown}}}")
-    images = image = None
+    images = None
     try:
         images = _membership_images(sub)
     except NotDPPEShaped:
-        det = matrix.determinant()
-    else:
-        det, image = _det_with_image(matrix.entries, images)
+        pass
+    det, image, pivots = _det_with_image(matrix.entries, images)
     if not det.is_zero():
         membership = _verdict(image, notes)
         return EliminationReport(
@@ -641,7 +640,9 @@ def eliminate(system, perturbation="auto"):
             side=spec.side, co_order=0, profile=profile,
             membership=membership, perturbation=None, lowest_degree=None,
             recomputed_side=None, notes=tuple(notes))
-    deficiency = co_order(matrix)
+    # the pivots of the Bareiss route count the rank of H already
+    deficiency = (co_order(matrix) if pivots is None
+                  else spec.side - 1 - pivots)
     notes.append(f"direct determinant vanishes; matrix co-order {deficiency}")
     if perturbation == "off":
         raise AssumptionViolated(

@@ -504,6 +504,59 @@ def test_integer_route_keeps_the_term_order():
         "c17a46d7e10bf28e296c7c94505587a0c1a501d8b7f90d4210aee14f6c756e14")
 
 
+def one_symbol_frames(rng):
+    """Seeded frames [H | f] of side 1-7 whose H holds one symbol s, the
+    constant p or the derivative a', in entries of up to three terms with
+    rational coefficients of either sign and powers of s up to 3; a third
+    have a column that is a multiple of another (a rank-deficient H, so a
+    zero determinant); each free entry sums up to four monomials free of
+    s.  Yields (frame, s)."""
+    f0, f1 = Poly.var(sym("f0")), Poly.var(sym("f1"))
+    monos = [f0, f1, f0 * f1, Poly.var(sym("f0", 1)), Poly.one()]
+    for _ in range(120):
+        s = rng.choice([const_sym("p"), sym("a", 1)])
+        x = Poly.var(s)
+
+        def entry():
+            return Poly.sum(x ** rng.randint(0, 3)
+                            * Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 6]))
+                            for _ in range(rng.randint(1, 3)))
+        n = rng.randint(1, 7)
+        density = rng.choice([0.4, 0.7, 1.0])
+        m = [[entry() if rng.random() < density else Poly.zero()
+              for _ in range(n - 1)] for _ in range(n)]
+        if n > 2 and rng.random() < 1 / 3:
+            i, c = rng.sample(range(n - 1), 2)
+            factor = entry()
+            for row in m:
+                row[c] = factor * row[i]
+        for row in m:
+            row.append(Poly.sum(rng.choice(monos) * Fraction(rng.randint(-3, 3),
+                                                             rng.randint(1, 4))
+                                for _ in range(rng.randint(0, 4))))
+        yield m, s
+
+
+def test_kronecker_route_matches_laplace_random():
+    """The Bareiss route with s = 2^b equals the Laplace route on frames
+    whose H holds one symbol, and its pivots count the rank of H."""
+    dets = []
+    for m, s in one_symbol_frames(random.Random(43)):
+        det = _det_bareiss(m, s)
+        assert det == _det_laplace(m)
+        assert determinant(m) == det
+        assert all(type(c) is Fraction for c in det.terms.values())
+        _, _, pivots = algebra._det_with_image(m, None)
+        assert pivots == (rank([row[:-1] for row in m]) if len(m) > 1 else 0)
+        dets.append((det, pivots < len(m) - 1))
+    assert sum(deficient for _, deficient in dets) >= 15
+    assert sum(d.is_zero() and not deficient for d, deficient in dets) >= 1
+    nonzero = [d for d, _ in dets if not d.is_zero()]
+    assert len(nonzero) >= 60
+    assert sum(len(d.terms) >= 3 for d in nonzero) >= 40
+    assert max(e for d in nonzero for mono in d.terms for _, e in mono) >= 9
+
+
 def test_laplace_leaves_no_garbage_cycle():
     """The memo of minors is freed when the determinant returns, not held
     by a reference cycle until the next collection."""

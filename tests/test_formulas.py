@@ -12,7 +12,7 @@ import random
 import pytest
 
 from diffres import algebra
-from diffres.algebra import Poly, determinant, sym
+from diffres.algebra import Poly, const_sym, determinant, sym
 from diffres.errors import (BetaOmegaViolated, ColumnMissing, NotDefinable,
                             NotDifferentiallyEssential)
 from diffres.formulas import (FormulaMatrix, FormulaSpec, Kind, Verdict,
@@ -229,18 +229,18 @@ def test_elimination_output_can_vanish():
 
 
 def test_determinant_route_follows_the_frame(monkeypatch):
-    """Bareiss when only the free-term column holds symbols, Laplace
-    otherwise, whatever the share of zeros."""
+    """Bareiss when H holds at most one symbol and the free-term column
+    does not hold it, Laplace otherwise, whatever the share of zeros."""
     calls = []
     for name in ("_det_bareiss", "_det_laplace"):
-        def recorded(m, name=name, route=getattr(algebra, name)):
+        def recorded(m, *args, name=name, route=getattr(algebra, name)):
             calls.append(name)
-            return route(m)
+            return route(m, *args)
         monkeypatch.setattr(algebra, name, recorded)
 
     def routes(matrix):
         calls.clear()
-        matrix.determinant()
+        determinant(getattr(matrix, "entries", matrix))
         return calls
 
     numeric = assemble(four_eq_system(5), spec_fres(four_eq_system(5)))
@@ -251,7 +251,17 @@ def test_determinant_route_follows_the_frame(monkeypatch):
     assert routes(symbolic) == ["_det_laplace"]
     degenerate = four_eq_system(1)
     perturbed = perturbed_matrix(degenerate, default_perturbation(degenerate))
-    assert routes(perturbed) == ["_det_laplace"]
+    assert routes(perturbed) == ["_det_bareiss"]
+    # a constant symbol k as the one symbol of H: the direct frame takes
+    # Bareiss, the perturbed one holds k and p and takes Laplace
+    lead = four_eq_system(Poly.var(const_sym("k")))
+    assert routes(assemble(lead, spec_fres(lead))) == ["_det_bareiss"]
+    two = perturbed_matrix(lead, default_perturbation(lead))
+    assert routes(two) == ["_det_laplace"]
+    # the one symbol of H also in the free-term column
+    a = v("a")
+    assert routes([[a, v("c1") + a], [Poly.one(), v("c2")]]) == [
+        "_det_laplace"]
 
 
 def test_homogeneous_rank_detects_degeneracy():

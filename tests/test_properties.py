@@ -15,10 +15,11 @@ from fractions import Fraction
 from conftest import (SE_DE_1, SE_DE_2, four_eq_system, generic_four_system,
                       generic_three_system, motivation_system, pattern_system,
                       tall_order_system, v)
-from test_algebra import numeric_h, substitute_oracle
+from test_algebra import cofactor_det, numeric_h, substitute_oracle
 from test_structure import hall_irredundant
 from diffres.algebra import (Poly, _det_bareiss, _det_laplace,
-                             _det_with_image, as_poly, determinant, rank, sym)
+                             _det_with_image, as_poly, const_sym, determinant,
+                             rank, sym)
 from diffres.errors import BetaOmegaViolated, MathError, NotDefinable
 from diffres.formulas import (assemble, spec_cf, spec_cres, spec_fres,
                               spec_general, zero_columns)
@@ -157,7 +158,7 @@ def test_membership_verdicts_match_the_substitution_oracle():
             continue
         images = {f"c{i + 1}": -f.param_part()
                   for i, f in enumerate(system.polys)}
-        shared, image = _det_with_image(matrix.entries, images)
+        shared, image, _ = _det_with_image(matrix.entries, images)
         assert list(shared.terms.items()) == list(det.terms.items())
         assert not image
         stray = next(iter(det.terms))
@@ -273,6 +274,70 @@ def test_eliminate_outputs_hold_no_parameter():
         assert not {s.name for s in report.output.symbols()} & params
         branches[report.branch] += 1
     assert branches["direct"] >= 240 and branches["perturbed"] >= 5, branches
+
+
+# ---------------------------------------------------------------------------
+# (i) rank-deficient numeric systems answer their built-in eliminant
+# ---------------------------------------------------------------------------
+
+
+def rank_deficient_system(rng, orders, a):
+    """A numeric system of len(orders) + 1 polynomials whose last
+    parameter part is mu D^a f1 + lam f2, so c_n - mu c1^(a) - lam c2 lies
+    in its ideal; row i reaches its order in parameter (i mod m) + 1.
+    Returns (system, that eliminant), or None when the system is not super
+    essential or the operator matrix of its first m rows is singular (then
+    the ideal may hold an eliminant of lower order)."""
+    m = len(orders)
+    rows = []
+    for i, o in enumerate(orders):
+        row = {}
+        for j in range(1, m + 1):
+            ks = ([k for k in range(o + 1) if rng.random() < 0.5]
+                  or [rng.randrange(o + 1)])
+            row[j] = {k: nonzero_fraction(rng) for k in ks}
+        row[i % m + 1].setdefault(o, nonzero_fraction(rng))
+        rows.append(row)
+    mu, lam = nonzero_fraction(rng), nonzero_fraction(rng)
+    last = {}
+    for src, scale, shift in ((rows[0], mu, a), (rows[1], lam, 0)):
+        for j, op in src.items():
+            for k, c in op.items():
+                slot = last.setdefault(j, {})
+                slot[k + shift] = slot.get(k + shift, 0) + scale * c
+    last = {j: {k: c for k, c in op.items() if c} for j, op in last.items()}
+    rows.append({j: op for j, op in last.items() if op})
+    system = LinearSystem([linear_poly(v(f"c{i + 1}"), row)
+                           for i, row in enumerate(rows)], params=m)
+    d = Poly.var(const_sym("D"))
+    ops = [[Poly.sum(c * d ** k for k, c in row.get(j, {}).items())
+            for j in range(1, m + 1)] for row in rows[:m]]
+    if not is_super_essential(system) or cofactor_det(ops).is_zero():
+        return None
+    n = m + 1
+    return system, v(f"c{n}") - mu * v("c1", a) - lam * v("c2")
+
+
+def test_rank_deficient_systems_answer_their_built_in_eliminant():
+    """Numeric perturbed frames of side 20 to about 37, far past the ones
+    the fixtures and ``random_system`` reach."""
+    rng = random.Random(1010)
+    sides = []
+    for orders, a in (((3, 3), 1), ((4, 3), 0), ((4, 4), 1), ((5, 4), 1),
+                      ((6, 4), 1), ((2, 2, 2), 1), ((3, 2, 2), 0)):
+        for _ in range(2):
+            built = None
+            while built is None:
+                built = rank_deficient_system(rng, orders, a)
+            system, eliminant = built
+            report = eliminate(system)
+            assert report.branch == "perturbed"
+            mono, c = next(iter(eliminant.terms.items()))
+            assert report.output == eliminant * (report.output.terms[mono] / c)
+            assert report.membership is True
+            assert report.lowest_degree >= report.co_order >= 1
+            sides.append(report.side)
+    assert min(sides) <= 22 and max(sides) >= 36, sides
 
 
 # ---------------------------------------------------------------------------
