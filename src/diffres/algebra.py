@@ -395,7 +395,7 @@ class Poly:
         substituted by the packed kernel ``_psubstitute``.  The membership
         check runs the same kernel; on the direct branch of ``eliminate``
         its ring is the frame's, which also holds n times the largest
-        exponent of an entry for the Laplace expansion (``_det_with_image``).
+        exponent of an entry for the Laplace expansion (``_det_laplace``).
         """
         ring, terms = _substitution(self, images)
         return ring.unpack(terms)
@@ -486,11 +486,12 @@ class _Ring:
     The caller proves that no exponent of any product it forms exceeds
     ``degree``; then the product of two monomials is one integer addition
     and never carries from one field into the next.  Packing an exponent
-    that does not fit its field raises OverflowError.  Two callers size a
-    ring: a Laplace determinant of side n by n times the largest exponent
-    of an entry, and a substitution by the largest exponent of a term plus
-    e_s times the largest exponent in the image of each replaced symbol s
-    (``_substitution``); the ring of ``_det_with_image`` holds both.
+    that does not fit its field raises OverflowError.  Two functions size
+    a ring: ``_det_laplace``, for a determinant of side n, by n times the
+    largest exponent of an entry, plus room for the substitution when it
+    also takes the determinant's image, and ``_substitution`` by the
+    largest exponent of a term plus e_s times the largest exponent in the
+    image of each replaced symbol s.
 
     A term dict packs in its own order, with a coefficient of denominator 1
     as an int, and unpacks in its own order, with Fraction coefficients,
@@ -632,9 +633,17 @@ def _psubstitute(terms, ring, images):
     return _merge({}, pairs())
 
 
-def _derived_image(images, s):
-    """The image of ``s``: the image of its name, derived s.order times."""
-    return as_poly(images[s.name]).derive_n(s.order)
+def _derived_images(images, symbols):
+    """Each of ``symbols`` whose name ``images`` replaces -> the image of
+    its name derived s.order times.  One chain per name derives the image
+    once per order, lowest order first, up to the highest order needed."""
+    chains = {}
+    for s in symbols:
+        if s.name in images:
+            chain = chains.setdefault(s.name, [as_poly(images[s.name])])
+            while len(chain) <= s.order:
+                chain.append(chain[-1].derive())
+    return {s: chains[s.name][s.order] for s in symbols if s.name in chains}
 
 
 def _substitution(p, images):
@@ -644,26 +653,17 @@ def _substitution(p, images):
     of e_s times the largest exponent in the image of s over its replaced
     symbols s, so t plus that sum bounds the ring.
     """
-    derived = {}  # replaced symbol -> (its image, largest exponent in it)
-    symbols = set()
-    degree = 0
-    for mono in p.terms:
-        top = bound = 0
-        for s, e in mono:
-            symbols.add(s)
-            if e > top:
-                top = e
-            if s.name in images:
-                got = derived.get(s)
-                if got is None:
-                    img = _derived_image(images, s)
-                    got = derived[s] = img, _max_exponent(img.terms)
-                    symbols |= img.symbols()
-                bound += e * got[1]
-        degree = max(degree, top + bound)
+    symbols = p.symbols()
+    derived = _derived_images(images, symbols)
+    top = {s: _max_exponent(img.terms) for s, img in derived.items()}
+    degree = max((max(e for _, e in mono)
+                  + sum(e * top.get(s, 0) for s, e in mono)
+                  for mono in p.terms if mono), default=0)
+    for img in derived.values():
+        symbols |= img.symbols()
     ring = _Ring(symbols, degree)
     return ring, _psubstitute(ring.pack(p.terms), ring, {
-        s: ring.pack(img.terms) for s, (img, _) in derived.items()})
+        s: ring.pack(img.terms) for s, img in derived.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -913,12 +913,6 @@ def _bareiss_frame(m, s):
     return _poly(out), n - 1
 
 
-def _det_bareiss(m, s=None):
-    """The Bareiss route of ``determinant``: the determinant of
-    ``_bareiss_frame``."""
-    return _bareiss_frame(m, s)[0]
-
-
 def _laplace(m, ring):
     """Memoized Laplace expansion along the columns, left to right, after
     Gentleman and Johnson (1976): the determinant of ``m`` as a packed
@@ -960,13 +954,37 @@ def _laplace(m, ring):
         del minor  # it refers to itself: drop the memo now, not at a GC
 
 
-def _det_laplace(m):
-    """The Laplace route of ``determinant``: ``_laplace`` in a ring of its
-    own, unpacked."""
+def _det_laplace(m, images=None):
+    """The Laplace route of ``_det_with_image``: the determinant of ``m``
+    and the packed terms of its image under ``substitute(images)`` (None
+    when ``images`` is None), from one ring that serves the expansion and
+    the substitution; the determinant is unpacked once.
+
+    A term of the expansion keeps at most n times the largest exponent E
+    of an entry on any symbol, and it takes one entry from each column, so
+    the sum of its exponents on replaced symbols is at most the sum, over
+    the columns, of the largest such sum in an entry of the column.  The
+    ring holds n E plus that many times the largest exponent of an image.
+    """
     entries = [e for row in m for e in row]
-    ring = _Ring(set().union(*(e.symbols() for e in entries)),
-                 len(m) * max(_max_exponent(e.terms) for e in entries))
-    return ring.unpack(_laplace(m, ring))
+    symbols = set().union(*(e.symbols() for e in entries))
+    derived = _derived_images(images or {}, symbols)
+    for img in derived.values():
+        symbols |= img.symbols()
+
+    def replaced(e):
+        return max((sum(x for s, x in mono if s in derived)
+                    for mono in e.terms), default=0)
+
+    spread = sum(max(map(replaced, column)) for column in zip(*m))
+    entry_top = max(_max_exponent(e.terms) for e in entries)
+    image_top = max((_max_exponent(img.terms) for img in derived.values()),
+                    default=0)
+    ring = _Ring(symbols, len(m) * entry_top + spread * image_top)
+    det = _laplace(m, ring)
+    image = None if images is None else _psubstitute(det, ring, {
+        s: ring.pack(img.terms) for s, img in derived.items()})
+    return ring.unpack(det), image
 
 
 def _square(m):
@@ -977,10 +995,9 @@ def _square(m):
 
 
 def _route(m):
-    """The route rule of ``determinant`` and ``_det_with_image``: (True, s)
-    when H holds no symbol but s (None for a numeric H) and the free
-    column does not hold s, for ``_bareiss_frame``; (False, None) for
-    Laplace."""
+    """The route rule of ``_det_with_image``: (True, s) when H holds no
+    symbol but s (None for a numeric H) and the free column does not hold
+    s, for ``_bareiss_frame``; (False, None) for ``_det_laplace``."""
     s = None
     for row in m:
         for e in row[:-1]:
@@ -995,69 +1012,38 @@ def _route(m):
     return True, s
 
 
-def determinant(m):
-    """Exact determinant of a square matrix of polynomials.
+def _det_with_image(m, images=None):
+    """The determinant router, the one place that picks a route: the exact
+    determinant of the square matrix ``m``, the packed terms of its image
+    under ``substitute(images)``, which are empty exactly when the image
+    is 0 (None when ``images`` is None), and the rank of H over the
+    fraction field when the route is Bareiss's (None on the Laplace route).
 
     The frames built here have the form [H | f], with the derived free
     terms in the last column.  When H holds at most one symbol s and f
-    does not hold s, the integer elimination ``_bareiss`` runs on H with
-    its denominators cleared and s replaced by a power of two large enough
-    to read the coefficients in s off the digits of the result, and it
-    carries the last column as one linear form per row.  The perturbed
-    frame of a numeric system, whose H holds only the perturbation
-    variable, takes this route.  Otherwise memoized Laplace expansion
-    along the columns, keyed by the unused rows, is used.  Both routes are
-    exact and agree.
+    does not hold s, ``_bareiss_frame`` runs the integer elimination on H
+    with its denominators cleared and s replaced by a power of two large
+    enough to read the coefficients in s off the digits of the result,
+    carrying the last column as one linear form per row; the image is
+    then one packed substitution of the result.  The perturbed frame of a
+    numeric system, whose H holds only the perturbation variable, takes
+    this route.  Otherwise ``_det_laplace`` expands along the columns,
+    memoized by the unused rows, in one ring that also holds the image.
+    Both routes are exact and agree.
     """
     m = _square(m)
     bareiss, s = _route(m)
-    if bareiss:
-        return _det_bareiss(m, s)
-    return _det_laplace(m)
+    if not bareiss:
+        return (*_det_laplace(m, images), None)
+    det, pivots = _bareiss_frame(m, s)
+    image = None if images is None else _substitution(det, images)[1]
+    return det, image, pivots
 
 
-def _det_with_image(m, images):
-    """``determinant(m)``, the packed terms of its image under
-    ``substitute(images)``, which are empty exactly when the image is 0
-    (None when ``images`` is None), and the rank of H over the fraction
-    field when the route is Bareiss's (None on the Laplace route).
-
-    On the Laplace route the determinant stays packed: one ring serves the
-    expansion and the substitution, and the determinant is unpacked once.
-    A term of the expansion keeps at most n times the largest exponent E
-    of an entry on any symbol, and it takes one entry from each column, so
-    the sum of its exponents on replaced symbols is at most the sum, over
-    the columns, of the largest such sum in an entry of the column.  The
-    ring holds n E plus that many times the largest exponent of an image.
-    """
-    m = _square(m)
-    bareiss, s = _route(m)
-    if bareiss:
-        det, pivots = _bareiss_frame(m, s)
-        if images is None:
-            return det, None, pivots
-        return det, _substitution(det, images)[1], pivots
-    entries = [e for row in m for e in row]
-    symbols = set().union(*(e.symbols() for e in entries))
-    derived = {s: _derived_image(images, s)
-               for s in symbols if images is not None and s.name in images}
-    for img in derived.values():
-        symbols |= img.symbols()
-
-    def replaced(e):
-        return max((sum(x for s, x in mono if s in derived)
-                    for mono in e.terms), default=0)
-
-    spread = sum(max(map(replaced, column)) for column in zip(*m))
-    entry_top = max(_max_exponent(e.terms) for e in entries)
-    image_top = max((_max_exponent(img.terms) for img in derived.values()),
-                    default=0)
-    ring = _Ring(symbols, len(m) * entry_top + spread * image_top)
-    det = _laplace(m, ring)
-    if images is None:
-        return ring.unpack(det), None, None
-    return ring.unpack(det), _psubstitute(det, ring, {
-        s: ring.pack(img.terms) for s, img in derived.items()}), None
+def determinant(m):
+    """Exact determinant of a square matrix of polynomials: the first
+    value of ``_det_with_image``, which picks the route."""
+    return _det_with_image(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1065,25 +1051,31 @@ def _det_with_image(m, images):
 # ---------------------------------------------------------------------------
 
 
+def _bareiss_at(m, point):
+    """``_bareiss`` on the matrix of polynomials ``m`` evaluated at
+    ``point`` (Sym -> rational), each row cleared of denominators:
+    (pivot columns, row order)."""
+    rows, _ = _int_rows([[e.evaluate(point) for e in row] for row in m])
+    cols, order, _ = _bareiss(rows)
+    return cols, order
+
+
 def rank(m):
     """Rank over the fraction field of a matrix of polynomials (or scalars
     and symbols; a ``Frac`` entry raises TypeError).
 
-    ``_bareiss`` eliminates the matrix at one fixed point of seeded
-    integers, and a numeric matrix is its own point.  Its r pivots mark an
-    r x r minor that is nonzero at the point, so the rank is at least r
-    (Schwartz 1980).  While the matrix holds symbols, the (r+1)-minors
-    bordering that minor are taken by ``determinant``: a nonzero one grows
-    r by one, and when all vanish the rank is exactly r.
+    ``_bareiss_at`` eliminates the matrix at one fixed point of seeded
+    integers.  Its r pivots mark an r x r minor that is nonzero at the
+    point, so the rank is at least r (Schwartz 1980).  While the matrix
+    holds symbols, the (r+1)-minors bordering that minor are taken by
+    ``determinant``: a nonzero one grows r by one, and when all vanish the
+    rank is exactly r.
     """
     m = [[as_poly(e) for e in row] for row in m]
-    symbols = set().union(*(e.symbols() for row in m for e in row))
+    symbols = sorted(set().union(*(e.symbols() for row in m for e in row)))
     rng = random.Random(0)
-    point = {s: rng.randrange(1, 1 << 16) for s in sorted(symbols)}
-    ints, _ = _int_rows([[e.evaluate(point) if symbols
-                          else e.terms.get(_ONE_MONO, 0) for e in row]
-                         for row in m])
-    cols, order, _ = _bareiss(ints)
+    cols, order = _bareiss_at(m, {s: rng.randrange(1, 1 << 16)
+                                  for s in symbols})
     rows = order[:len(cols)]
     while symbols:
         bordering = ((i, j) for i in range(len(m)) if i not in rows

@@ -2,7 +2,9 @@
 
 A formula spec fixes how often each polynomial is derived (row bounds L_i)
 and which derivatives of each parameter index the columns.  Four recipes
-are provided; all satisfy the square-shape identity
+are provided: ``spec_fres`` reads the order profile, and ``spec_cf``,
+``spec_cres`` and ``spec_general`` are shift data (beta, omega) for one
+builder.  All satisfy the square-shape identity
 
     sum_i (L_i + 1)  =  1 + sum_j (hi_j - lo_j + 1)
 
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, _bareiss, _int_rows, determinant, rank
+from .algebra import Poly, _bareiss_at, determinant, rank
 from .errors import (AssumptionViolated, BetaOmegaViolated, ColumnMissing,
                      NotDefinable, NotDifferentiallyEssential)
 from .structure import (is_differentially_essential, restrict,
@@ -73,44 +75,43 @@ def spec_fres(system):
     """Smallest frame: rows up to N - o_i - gamma, columns clipped to the
     occurring derivative range of each parameter."""
     profile = _square_profile(system)
-    bounds = {}
-    for i in range(system.n):
-        bounds[i + 1] = profile.row_bound(i)
-        if bounds[i + 1] < 0:
-            raise NotDefinable(i + 1, bounds[i + 1])
+    bounds = {i + 1: profile.row_bound(i) for i in range(system.n)}
     intervals = {j: profile.column_interval(j) for j in profile.low}
     return FormulaSpec(Kind.FRES, bounds, intervals)
 
 
+def _shifted_spec(kind, beta, omega, beta_omega=None):
+    """The frame of shift data (beta, omega): rows up to
+    Omega - omega_i - beta, columns 0..Omega - beta_j - beta, where Omega
+    and beta are the sums of omega and of beta.  ``FormulaSpec`` raises
+    NotDefinable for a negative row bound."""
+    big_omega, beta_total = sum(omega), sum(beta)
+    bounds = {i + 1: big_omega - w - beta_total for i, w in enumerate(omega)}
+    intervals = {j + 1: (0, big_omega - b - beta_total)
+                 for j, b in enumerate(beta)}
+    return FormulaSpec(kind, bounds, intervals, beta_omega)
+
+
 def spec_cres(system):
-    """Frame shrunk by the clipped gap profile: gamma_hat_j also counts
-    the order of any polynomial missing the parameter entirely."""
+    """Frame shrunk by the clipped gap profile: shift data beta_j =
+    gamma_hat_j, which also counts the order of any polynomial missing
+    the parameter entirely, and omega = the polynomial orders."""
     profile = _square_profile(system)
     orders = profile.orders
-    hat = {}
+    hat = []
     for j in profile.low:
         absent = [orders[i] for i, f in enumerate(system.polys)
                   if j not in f.ops]
-        hat[j] = min([profile.high[j]] + absent)
-    hat_total = sum(hat.values())
-    n_sum = profile.order_sum
-    bounds = {}
-    for i in range(system.n):
-        bounds[i + 1] = n_sum - orders[i] - hat_total
-        if bounds[i + 1] < 0:
-            raise NotDefinable(i + 1, bounds[i + 1])
-    intervals = {j: (0, n_sum - hat[j] - hat_total) for j in hat}
-    return FormulaSpec(Kind.CRES, bounds, intervals)
+        hat.append(min([profile.high[j]] + absent))
+    return _shifted_spec(Kind.CRES, hat, orders)
 
 
 def spec_cf(system):
-    """The full frame: rows up to N - o_i, columns for every derivative
-    order 0..N of every parameter."""
+    """The full frame, shift data beta = 0 and omega = the polynomial
+    orders: rows up to N - o_i, columns for every derivative order 0..N
+    of every parameter."""
     profile = _square_profile(system)
-    n_sum = profile.order_sum
-    bounds = {i + 1: n_sum - profile.orders[i] for i in range(system.n)}
-    intervals = {j: (0, n_sum) for j in profile.low}
-    return FormulaSpec(Kind.CF, bounds, intervals)
+    return _shifted_spec(Kind.CF, [0] * len(profile.low), profile.orders)
 
 
 def _check_beta_omega(system, beta, omega):
@@ -134,19 +135,14 @@ def _check_beta_omega(system, beta, omega):
                 raise BetaOmegaViolated(
                     f"(b2) fails at operator ({i + 1}, {j}): degree "
                     f"{op.deg()} > {omega[i]} - {beta[j - 1]}")
-    return big_omega, beta_total
 
 
 def spec_general(system, beta, omega):
-    """Frame for arbitrary shift data: rows up to Omega - omega_i - beta,
-    columns 0..Omega - beta_j - beta."""
-    big_omega, beta_total = _check_beta_omega(system, beta, omega)
-    bounds = {i + 1: big_omega - omega[i] - beta_total
-              for i in range(system.n)}
-    intervals = {j + 1: (0, big_omega - beta[j] - beta_total)
-                 for j in range(system.params)}
-    return FormulaSpec(Kind.GENERAL, bounds, intervals,
-                       beta_omega=(tuple(beta), tuple(omega)))
+    """Frame for arbitrary shift data, checked against (b1) and (b2):
+    rows up to Omega - omega_i - beta, columns 0..Omega - beta_j - beta."""
+    _check_beta_omega(system, beta, omega)
+    return _shifted_spec(Kind.GENERAL, beta, omega,
+                         (tuple(beta), tuple(omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def order_bounds(system):
     profile = order_profile(sub)
     bounds = {i: -1 for i in range(1, system.n + 1)}
     for pos, i in enumerate(members):
-        bounds[i] = profile.order_sum - profile.orders[pos] - profile.total
+        bounds[i] = profile.row_bound(pos)
     return bounds
 
 
@@ -275,26 +271,25 @@ class Verdict(enum.Enum):
 _POOL = [Fraction(a, b) for b in range(1, 5) for a in range(-12, 13) if a]
 
 
-def certify_nonzero(matrix, trials=20, seed=0, exact_cap=EXACT_SIDE_CAP):
+def certify_nonzero(matrix, trials=20, seed=0):
     """Random evaluation of the determinant at rationals from a fixed pool.
 
     Treating every derivative symbol as an independent unknown is sound
     here: distinct derivatives are algebraically independent, so a nonzero
     evaluation certifies a nonzero determinant.  Each evaluated matrix is
-    cleared of denominators and eliminated by ``algebra._bareiss``; it is
-    nonsingular when every column finds a pivot.  Zero can only be proven
-    by the exact determinant, attempted when the side is small enough.
+    cleared of denominators and eliminated by ``algebra._bareiss_at``; it
+    is nonsingular when every column finds a pivot.  Zero can only be
+    proven by the exact determinant, attempted up to side EXACT_SIDE_CAP.
     """
     rng = random.Random(seed)
     names = sorted({s for row in matrix.entries for p in row
                     for s in p.symbols()}, key=lambda s: s.key)
     for _ in range(trials):
-        values = {s: rng.choice(_POOL) for s in names}
-        numeric = [[p.evaluate(values) for p in row] for row in matrix.entries]
-        cols, _, _ = _bareiss(_int_rows(numeric)[0])
+        cols, _ = _bareiss_at(matrix.entries,
+                              {s: rng.choice(_POOL) for s in names})
         if len(cols) == matrix.side:
             return Verdict.NONZERO_CERTIFIED
-    if matrix.side <= exact_cap:
+    if matrix.side <= EXACT_SIDE_CAP:
         if matrix.determinant().is_zero():
             return Verdict.ZERO_PROVEN
         return Verdict.NONZERO_CERTIFIED

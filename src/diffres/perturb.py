@@ -194,10 +194,6 @@ def perturbed_matrix(system, pert, spec=None):
     return assemble(perturb_system(system, pert), spec)
 
 
-def perturbed_determinant(system, pert, spec=None):
-    return perturbed_matrix(system, pert, spec).determinant()
-
-
 # ---------------------------------------------------------------------------
 # the perturbation variable
 # ---------------------------------------------------------------------------
@@ -329,16 +325,23 @@ def _sub_lists(a, b):
 
 
 def _compose_term(b, q, k):
-    """Coefficients of B composed with (q * D^k), q a fraction."""
+    """Coefficients of B composed with (q * D^k), q a fraction.
+
+    By Leibniz, b_j D^j q = sum over l of C(j, l) b_j q^(l) D^(j-l).  The
+    derivatives q, q', ... are formed once, up to the first that vanishes.
+    """
+    derived = [] if q.is_zero() else [q]
+    while 0 < len(derived) < len(b):
+        d = derived[-1].derive()
+        if d.is_zero():
+            break
+        derived.append(d)
     out = [Frac.of(0)] * (len(b) + k)
     for j, bj in enumerate(b):
         if bj.is_zero():
             continue
-        d = q
-        for l in range(j + 1):
-            if not d.is_zero():
-                out[j - l + k] = out[j - l + k] + bj * d * Fraction(math.comb(j, l))
-            d = d.derive()
+        for l, d in enumerate(derived[:j + 1]):
+            out[j - l + k] = out[j - l + k] + bj * d * Fraction(math.comb(j, l))
     return out
 
 
@@ -561,7 +564,7 @@ def verify_membership(B, system):
     ``eliminate`` runs the same kernel with the same images on its
     answer; on the direct branch the ring is the one of the Laplace
     expansion, sized for n times the largest exponent of an entry as well
-    (``algebra._det_with_image``).
+    (``algebra._det_laplace``).
     """
     images = _membership_images(system)
     return not _substitution(as_poly(B), images)[1]

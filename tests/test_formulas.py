@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from diffres import algebra
+from diffres import algebra, formulas
 from diffres.algebra import Poly, const_sym, determinant, sym
 from diffres.errors import (BetaOmegaViolated, ColumnMissing, NotDefinable,
                             NotDifferentiallyEssential)
@@ -232,7 +232,7 @@ def test_determinant_route_follows_the_frame(monkeypatch):
     """Bareiss when H holds at most one symbol and the free-term column
     does not hold it, Laplace otherwise, whatever the share of zeros."""
     calls = []
-    for name in ("_det_bareiss", "_det_laplace"):
+    for name in ("_bareiss_frame", "_det_laplace"):
         def recorded(m, *args, name=name, route=getattr(algebra, name)):
             calls.append(name)
             return route(m, *args)
@@ -246,16 +246,16 @@ def test_determinant_route_follows_the_frame(monkeypatch):
     numeric = assemble(four_eq_system(5), spec_fres(four_eq_system(5)))
     zeros = sum(e.is_zero() for row in numeric.entries for e in row)
     assert numeric.side == 18 and zeros > 0.75 * 18 * 18
-    assert routes(numeric) == ["_det_bareiss"]
+    assert routes(numeric) == ["_bareiss_frame"]
     symbolic = assemble(motivation_system(), spec_fres(motivation_system()))
     assert routes(symbolic) == ["_det_laplace"]
     degenerate = four_eq_system(1)
     perturbed = perturbed_matrix(degenerate, default_perturbation(degenerate))
-    assert routes(perturbed) == ["_det_bareiss"]
+    assert routes(perturbed) == ["_bareiss_frame"]
     # a constant symbol k as the one symbol of H: the direct frame takes
     # Bareiss, the perturbed one holds k and p and takes Laplace
     lead = four_eq_system(Poly.var(const_sym("k")))
-    assert routes(assemble(lead, spec_fres(lead))) == ["_det_bareiss"]
+    assert routes(assemble(lead, spec_fres(lead))) == ["_bareiss_frame"]
     two = perturbed_matrix(lead, default_perturbation(lead))
     assert routes(two) == ["_det_laplace"]
     # the one symbol of H also in the free-term column
@@ -319,7 +319,7 @@ def test_order_bounds_respected_by_the_actual_output():
         assert top.get(f"c{i}", -1) <= bound
 
 
-def test_nonzero_certification():
+def test_nonzero_certification(monkeypatch):
     generic = generic_four_system()
     m = assemble(generic, spec_fres(generic))
     assert certify_nonzero(m, trials=5, seed=1) is Verdict.NONZERO_CERTIFIED
@@ -328,8 +328,8 @@ def test_nonzero_certification():
     ms = assemble(special, spec_fres(special))
     assert ms.side == 10
     assert certify_nonzero(ms, trials=3, seed=1) is Verdict.ZERO_PROVEN
-    assert certify_nonzero(ms, trials=3, seed=1,
-                           exact_cap=4) is Verdict.UNKNOWN
+    monkeypatch.setattr(formulas, "EXACT_SIDE_CAP", 4)
+    assert certify_nonzero(ms, trials=3, seed=1) is Verdict.UNKNOWN
 
 
 def test_certification_of_constant_matrices():
@@ -339,16 +339,18 @@ def test_certification_of_constant_matrices():
     assert certify_nonzero(eye, trials=1) is Verdict.NONZERO_CERTIFIED
 
 
-def test_certification_matches_the_determinant_on_numeric_frames():
+def test_certification_matches_the_determinant_on_numeric_frames(
+        monkeypatch):
     """Each evaluated frame goes through the integer elimination: with no
     exact fallback, exactly the frames with a nonzero determinant are
     certified, rational entries, zero rows and zero columns included."""
+    monkeypatch.setattr(formulas, "EXACT_SIDE_CAP", 0)
     spec = FormulaSpec(Kind.GENERAL, {1: 0}, {})
     verdicts = []
     for m in numeric_h_frames(random.Random(43)):
         matrix = FormulaMatrix(rows=(), columns=(), spec=spec,
                                entries=tuple(tuple(row) for row in m))
-        verdict = certify_nonzero(matrix, trials=4, seed=2, exact_cap=0)
+        verdict = certify_nonzero(matrix, trials=4, seed=2)
         assert verdict is (Verdict.UNKNOWN if determinant(m).is_zero()
                            else Verdict.NONZERO_CERTIFIED)
         verdicts.append(verdict)
