@@ -333,12 +333,6 @@ class Poly:
                     yield _mono_mul(tuple(rest), ((s.derived(), 1),)), c * e
         return _poly(_merge({}, pairs()))
 
-    def derive_n(self, k):
-        p = self
-        for _ in range(k):
-            p = p.derive()
-        return p
-
     # -- structure -----------------------------------------------------
 
     def symbols(self):
@@ -765,7 +759,9 @@ class Frac:
         return Frac(self.num * other.den + other.num * self.den,
                     self.den * other.den)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # other first: the terms of a sum come in the order of its operands
+        return Frac.of(other) + self
 
     def __neg__(self):
         out = Frac.__new__(Frac)

@@ -262,14 +262,55 @@ def decompose_linear(B, names):
 # left division and left gcd
 # ---------------------------------------------------------------------------
 #
-# Operators are handled as dense coefficient lists over the fraction field,
-# index = derivative order.  Composition with the derivation D obeys
-# D * a = a * D + a', so dividing from the left needs Leibniz corrections.
+# Operators are handled as dense coefficient lists, index = derivative
+# order.  A constant coefficient is held as its Fraction value and any other
+# coefficient as a Frac, so an operator with constant coefficients is
+# reduced over plain rationals and a Frac appears only where a coefficient
+# holds a symbol; mixed lists work because Frac takes a Fraction on either
+# side.  Composition with the derivation D obeys D * a = a * D + a', so
+# dividing from the left needs Leibniz corrections, and these vanish on
+# constant coefficients.
+
+
+def _coeff(c):
+    """A coefficient under the rule above: Fraction if constant, else Frac."""
+    if isinstance(c, Frac):
+        if c.num.is_constant() and c.den.is_constant():
+            return c.num.constant_value() / c.den.constant_value()
+        return c
+    c = as_poly(c)
+    return Fraction(c.constant_value()) if c.is_constant() else Frac(c)
+
+
+def _is_zero(c):
+    return c.is_zero() if isinstance(c, Frac) else not c
+
+
+def _derive(c):
+    return c.derive() if isinstance(c, Frac) else Fraction(0)
+
+
+def _dense(op):
+    """The dense coefficient list of an operator, under the rule above."""
+    if isinstance(op, FractionOperator):
+        items = dict(enumerate(op.coeffs))
+    elif isinstance(op, DiffOperator):
+        items = op.coeffs
+    elif isinstance(op, dict):
+        items = op
+    else:
+        raise TypeError(f"cannot view {type(op).__name__} as an operator")
+    dense = [Fraction(0)] * (max(items) + 1 if items else 0)
+    for k, c in items.items():
+        dense[k] = _coeff(c)
+    return _trim(dense)
 
 
 @dataclass(frozen=True)
 class FractionOperator:
-    """Dense operator with coefficients in the fraction field."""
+    """Dense operator with every coefficient a Frac, constants included:
+    the form in which ``gcld`` returns its answer.  The routines below
+    work on lists under the coefficient rule and convert at that border."""
 
     coeffs: tuple
 
@@ -277,18 +318,7 @@ class FractionOperator:
     def of(cls, op):
         if isinstance(op, FractionOperator):
             return op
-        if isinstance(op, DiffOperator):
-            items = op.coeffs
-        elif isinstance(op, dict):
-            items = op
-        else:
-            raise TypeError(f"cannot view {type(op).__name__} as an operator")
-        if not items:
-            return cls(())
-        dense = [Frac.of(0)] * (max(items) + 1)
-        for k, c in items.items():
-            dense[k] = Frac.of(c) if not isinstance(c, Frac) else c
-        return cls(tuple(_trim(dense)))
+        return cls(tuple(Frac.of(c) for c in _dense(op)))
 
     def is_zero(self):
         return not self.coeffs
@@ -312,36 +342,37 @@ class FractionOperator:
 
 
 def _trim(a):
-    while a and a[-1].is_zero():
+    while a and _is_zero(a[-1]):
         a.pop()
     return a
 
 
 def _sub_lists(a, b):
-    out = list(a) + [Frac.of(0)] * (len(b) - len(a))
+    out = list(a) + [Fraction(0)] * (len(b) - len(a))
     for k, c in enumerate(b):
         out[k] = out[k] - c
     return out
 
 
 def _compose_term(b, q, k):
-    """Coefficients of B composed with (q * D^k), q a fraction.
+    """Coefficients of B composed with (q * D^k).
 
     By Leibniz, b_j D^j q = sum over l of C(j, l) b_j q^(l) D^(j-l).  The
-    derivatives q, q', ... are formed once, up to the first that vanishes.
+    derivatives q, q', ... are formed once, up to the first that vanishes,
+    so a constant q keeps only l = 0.
     """
-    derived = [] if q.is_zero() else [q]
+    derived = [] if _is_zero(q) else [q]
     while 0 < len(derived) < len(b):
-        d = derived[-1].derive()
-        if d.is_zero():
+        d = _derive(derived[-1])
+        if _is_zero(d):
             break
         derived.append(d)
-    out = [Frac.of(0)] * (len(b) + k)
+    out = [Fraction(0)] * (len(b) + k)
     for j, bj in enumerate(b):
-        if bj.is_zero():
+        if _is_zero(bj):
             continue
         for l, d in enumerate(derived[:j + 1]):
-            out[j - l + k] = out[j - l + k] + bj * d * Fraction(math.comb(j, l))
+            out[j - l + k] = out[j - l + k] + bj * d * math.comb(j, l)
     return out
 
 
@@ -353,7 +384,7 @@ def _divmod_left(a, b):
     r = _trim(list(a))
     d = len(b) - 1
     lead = b[-1]
-    q = [Frac.of(0)] * max(len(r) - d, 0)
+    q = [Fraction(0)] * max(len(r) - d, 0)
     while r and len(r) - 1 >= d:
         m = len(r) - 1
         c = r[m] / lead
@@ -372,9 +403,9 @@ def _gcld_pair(a, b):
 
 def _monic(g):
     lead = g[-1]
-    if lead == Frac.of(1):
+    if lead == 1:
         return g
-    return _trim(_compose_term(g, Frac.of(1) / lead, 0))
+    return _trim(_compose_term(g, 1 / lead, 0))
 
 
 def _left_gcd(ops):
@@ -399,10 +430,11 @@ def gcld(ops):
     Euclidean scheme runs on left remainders and the result is made monic
     by composing with the inverse of its leading coefficient.
     """
-    ops = [list(FractionOperator.of(op).coeffs) for op in ops]
+    ops = [_dense(op) for op in ops]
     if not ops:
         raise EmptyInput("no operators to combine")
-    return FractionOperator(tuple(_monic(_left_gcd(ops))))
+    return FractionOperator(tuple(Frac.of(c)
+                                  for c in _monic(_left_gcd(ops))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +478,7 @@ def id_primitive_part(B, names):
     if B.is_zero():
         raise ZeroInput("the zero combination has no primitive part")
     dec = decompose_linear(B, names)
-    present = [(name, list(FractionOperator.of(op).coeffs))
+    present = [(name, _dense(op))
                for name, op in dec.operators.items() if not op.is_zero()]
     # Any common left divisor serves, so it is not made monic: composing
     # with 1/lead differentiates that fraction up to deg g times, and with
@@ -460,15 +492,17 @@ def id_primitive_part(B, names):
             raise NotDivisible("the common left factor fails to divide "
                                f"the operator of {name}")
         for k, c in enumerate(q):
-            if c.is_zero():
+            if _is_zero(c):
                 continue
-            pending.append((name, k, c))
+            num, den = ((c.num, c.den) if isinstance(c, Frac)
+                        else (Poly.const(c), Poly.one()))
+            pending.append((name, k, num, den))
             try:
-                exact_div(common, c.den)
+                exact_div(common, den)
             except NotDivisible:
-                common = common * c.den
-    out = Poly.sum(c.num * exact_div(common, c.den) * Poly.var(sym(name, k))
-                   for name, k, c in pending)
+                common = common * den
+    out = Poly.sum(num * exact_div(common, den) * Poly.var(sym(name, k))
+                   for name, k, num, den in pending)
     return _normalize_linear(out, names)
 
 

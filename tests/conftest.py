@@ -14,6 +14,13 @@ def v(name, order=0):
     return Poly.var(sym(name, order))
 
 
+def derive_n(p, k):
+    """The k-th formal derivative of a polynomial."""
+    for _ in range(k):
+        p = p.derive()
+    return p
+
+
 def motivation_system():
     """Three polynomials in two parameters with generic symbolic coefficients;
     orders (2, 3, 2)."""

@@ -36,6 +36,8 @@ from diffres.algebra import (
 )
 from diffres.errors import DivisionByZero, NonSquare, NotDivisible
 
+from conftest import derive_n
+
 
 def cofactor_det(m):
     """Oracle: plain first-row cofactor expansion, no memoization."""
@@ -195,7 +197,7 @@ def substitute_oracle(p, images):
         factor = None
         for s, e in mono:
             if s.name in images:
-                img = as_poly(images[s.name]).derive_n(s.order) ** e
+                img = derive_n(as_poly(images[s.name]), s.order) ** e
                 factor = img if factor is None else factor * img
             else:
                 term = term * Poly.var(s) ** e
@@ -355,6 +357,17 @@ def test_frac_field_axioms_random():
         if not g.is_zero():
             assert (f / g) * g == f
         done += 1
+
+
+def test_a_rational_on_the_left_keeps_its_place_in_a_sum():
+    """Fraction + Frac sums in the written order, so a left division on
+    mixed Fraction and Frac lists orders terms as on Frac lists alone."""
+    t = Poly.var(sym("t"))
+    for left in (Fraction(3), 3):
+        for right in (Frac(t + 1), Frac(t, t + 2)):
+            got, want = left + right, Frac.of(left) + right
+            assert list(got.num.terms.items()) == list(want.num.terms.items())
+            assert list(got.den.terms.items()) == list(want.den.terms.items())
 
 
 def test_frac_derive_quotient_rule():

@@ -25,8 +25,8 @@ from diffres.systems import (LinearDiffPoly, LinearSystem, linear_poly,
                              param_sym, specialize)
 
 from conftest import (GENERIC_FOUR_VALUES, SE_DE_2, SE_DE_3, four_eq_system,
-                      generic_four_system, generic_three_system,
-                      motivation_system, pattern_system, tall_order_system, v)
+                      derive_n, generic_four_system,
+                      generic_three_system, motivation_system, pattern_system, tall_order_system, v)
 from test_algebra import numeric_h_frames
 
 
@@ -171,7 +171,7 @@ def test_assembled_rows_reconstruct_the_derivatives():
             recon = row[-1]
             for label, entry in zip(m.columns, row):
                 recon = recon + entry * Poly.var(param_sym(*label))
-            assert recon == system.polys[i - 1].to_poly().derive_n(k)
+            assert recon == derive_n(system.polys[i - 1].to_poly(), k)
 
 
 def test_assembly_fails_fast_on_missing_column():

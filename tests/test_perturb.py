@@ -28,10 +28,13 @@ from diffres.errors import (
     ZeroInput,
 )
 from diffres.formulas import Verdict, certify_nonzero, dfres, spec_cres
+from diffres import perturb
 from diffres.perturb import (
     FractionOperator,
     Perturbation,
+    _dense,
     _divmod_left,
+    _left_gcd,
     decompose_linear,
     default_perturbation,
     eliminate,
@@ -346,16 +349,16 @@ def test_gcld_of_one_operator_is_its_monic_form():
 def test_gcld_divides_random_products():
     rng = random.Random(7)
     for trial in range(58):
-        # symbolic coefficients stay below the lead; a symbolic lead makes
-        # the remainder sequence fractional and painfully large
+        # symbolic operators stay at degree one: a symbolic lead makes the
+        # remainder sequence fractional and large
         symbolic = trial >= 50
         max_deg = 1 if symbolic else 2
 
         def rand_op():
             deg = rng.randint(0, max_deg)
-            coeffs = {deg: Fraction(rng.randint(1, 4))}
-            for k in range(deg):
-                c = rng.randint(-3, 3)
+            coeffs = {}
+            for k in range(deg + 1):
+                c = rng.randint(1, 4) if k == deg else rng.randint(-3, 3)
                 if c:
                     coeffs[k] = Fraction(c)
                 if symbolic and rng.random() < 0.5:
@@ -377,6 +380,81 @@ def test_compose_applies_the_product_rule():
     a = Poly.var(sym("a"))
     got = compose(DiffOperator({1: 1}), DiffOperator({0: a}))
     assert got == DiffOperator({0: Poly.var(sym("a", 1)), 1: a})
+
+
+def same_coeffs(fast, reference):
+    """Fraction entries equal to the Frac entries of the reference, term
+    order of numerator and denominator included (the reference pads with
+    Fraction zeros, as the routines do)."""
+    if len(fast) != len(reference):
+        return False
+    for c, ref in zip(fast, reference):
+        c, ref = Frac.of(c), Frac.of(ref)
+        if (list(c.num.terms.items()) != list(ref.num.terms.items())
+                or list(c.den.terms.items()) != list(ref.den.terms.items())):
+            return False
+    return True
+
+
+def test_constant_operators_reduce_over_fractions_like_the_frac_route(
+        monkeypatch):
+    """Operators g composed with q_i, all with rational constant
+    coefficients, reduced on Fraction lists and on all-Frac lists."""
+    rng = random.Random(27)
+    names = ("c1", "c2", "c3")
+
+    def rand_op(deg):
+        coeffs = {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for k in range(deg)}
+        coeffs[deg] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                               rng.randint(1, 3))
+        return DiffOperator(coeffs)
+
+    draws = []
+    for _ in range(200):
+        g = rand_op(rng.randint(0, 2))
+        products = [compose(g, rand_op(rng.randint(0, 2)))
+                    for _ in range(rng.randint(1, 3))]
+        draws.append(products)
+
+    built = []
+    frac_init = Frac.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        frac_init(self, *args)
+
+    fast = []
+    monkeypatch.setattr(Frac, "__init__", counting_init)
+    for products in draws:
+        dense = [_dense(a) for a in products]
+        g = _left_gcd(dense)
+        divided = [_divmod_left(a, g) for a in dense]
+        combination = Poly.sum(c * Poly.var(sym(name, k))
+                               for name, a in zip(names, products)
+                               for k, c in a.coeffs.items())
+        primitive = id_primitive_part(combination, names)
+        fast.append((g, divided, combination, primitive))
+    monkeypatch.undo()
+    assert not built
+    for g, divided, _, _ in fast:
+        assert all(isinstance(c, Fraction) for c in g)
+        assert all(isinstance(c, Fraction) for q, r in divided for c in q + r)
+
+    # the reference: the same routines, handed all-Frac lists
+    dense_of = perturb._dense
+    monkeypatch.setattr(perturb, "_dense",
+                        lambda op: [Frac.of(c) for c in dense_of(op)])
+    for products, (g, divided, combination, primitive) in zip(draws, fast):
+        lists = [list(FractionOperator.of(a).coeffs) for a in products]
+        ref_g = _left_gcd(lists)
+        assert same_coeffs(g, ref_g)
+        for a, (q, r) in zip(lists, divided):
+            ref_q, ref_r = _divmod_left(a, ref_g)
+            assert same_coeffs(q, ref_q) and same_coeffs(r, ref_r)
+        reference = id_primitive_part(combination, names)
+        assert ([(m, type(c), c) for m, c in primitive.terms.items()]
+                == [(m, type(c), c) for m, c in reference.terms.items()])
 
 
 # ---------------------------------------------------------------------------
