@@ -34,14 +34,6 @@ class NonSquare(MathError):
 
 # -- systems ----------------------------------------------------------------
 
-class EmptyColumn(MathError):
-    """A parameter occurs in no polynomial of the system."""
-
-    def __init__(self, column):
-        self.column = column
-        super().__init__(f"parameter u{column} occurs in no polynomial")
-
-
 class AssumptionViolated(MathError):
     """One of the standing assumptions on the system does not hold."""
 

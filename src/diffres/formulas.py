@@ -81,14 +81,13 @@ def spec_fres(system):
 
 
 def _shifted_spec(kind, beta, omega, beta_omega=None):
-    """The frame of shift data (beta, omega): rows up to
-    Omega - omega_i - beta, columns 0..Omega - beta_j - beta, where Omega
-    and beta are the sums of omega and of beta.  ``FormulaSpec`` raises
-    NotDefinable for a negative row bound."""
-    big_omega, beta_total = sum(omega), sum(beta)
+    """The frame of shift data (beta, omega), with beta keyed by parameter
+    label: rows up to Omega - omega_i - beta, columns 0..Omega - beta_j -
+    beta, where Omega and beta are the sums of omega and of beta.
+    ``FormulaSpec`` raises NotDefinable for a negative row bound."""
+    big_omega, beta_total = sum(omega), sum(beta.values())
     bounds = {i + 1: big_omega - w - beta_total for i, w in enumerate(omega)}
-    intervals = {j + 1: (0, big_omega - b - beta_total)
-                 for j, b in enumerate(beta)}
+    intervals = {j: (0, big_omega - b - beta_total) for j, b in beta.items()}
     return FormulaSpec(kind, bounds, intervals, beta_omega)
 
 
@@ -98,11 +97,11 @@ def spec_cres(system):
     the parameter entirely, and omega = the polynomial orders."""
     profile = _square_profile(system)
     orders = profile.orders
-    hat = []
+    hat = {}
     for j in profile.low:
         absent = [orders[i] for i, f in enumerate(system.polys)
                   if j not in f.ops]
-        hat.append(min([profile.high[j]] + absent))
+        hat[j] = min([profile.high[j]] + absent)
     return _shifted_spec(Kind.CRES, hat, orders)
 
 
@@ -111,7 +110,8 @@ def spec_cf(system):
     orders: rows up to N - o_i, columns for every derivative order 0..N
     of every parameter."""
     profile = _square_profile(system)
-    return _shifted_spec(Kind.CF, [0] * len(profile.low), profile.orders)
+    return _shifted_spec(Kind.CF, dict.fromkeys(profile.low, 0),
+                         profile.orders)
 
 
 def _check_beta_omega(system, beta, omega):
@@ -141,7 +141,7 @@ def spec_general(system, beta, omega):
     """Frame for arbitrary shift data, checked against (b1) and (b2):
     rows up to Omega - omega_i - beta, columns 0..Omega - beta_j - beta."""
     _check_beta_omega(system, beta, omega)
-    return _shifted_spec(Kind.GENERAL, beta, omega,
+    return _shifted_spec(Kind.GENERAL, dict(enumerate(beta, 1)), omega,
                          (tuple(beta), tuple(omega)))
 
 

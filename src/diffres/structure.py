@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .algebra import Frac, Poly, determinant, sym
 from .errors import AssumptionViolated, TooLarge
-from .systems import LinearDiffPoly, LinearSystem
+from .systems import LinearSystem
 
 ENUMERATION_BOUND = 12
 
@@ -244,18 +244,16 @@ def super_essential_subsystem(system):
 
 
 def restrict(system, members):
-    """The subsystem on the given 1-based indices, parameters renumbered.
+    """The subsystem on the given 1-based indices, as (subsystem, members)
+    with the members sorted, like ``PatternMatrix.restricted``.
 
-    Returns (subsystem, param_map) with param_map original -> new label.
+    The member polynomials keep the system's parameter labels and slot
+    count, so a label means the same parameter in the subsystem, in its
+    order profile and frame, and in everything ``eliminate`` reports.
     """
     members = tuple(sorted(members))
-    polys = [system.polys[i - 1] for i in members]
-    active = sorted({j for f in polys for j in f.ops})
-    param_map = {j: k + 1 for k, j in enumerate(active)}
-    rebuilt = [LinearDiffPoly(f.free, {param_map[j]: op
-                                       for j, op in f.ops.items()})
-               for f in polys]
-    return LinearSystem(rebuilt, params=len(active)), param_map
+    return (LinearSystem([system.polys[i - 1] for i in members],
+                         params=system.params), members)
 
 
 # ---------------------------------------------------------------------------

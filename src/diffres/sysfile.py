@@ -228,19 +228,26 @@ def _symbol_of(tok, order, scope):
     raise UndeclaredSymbol(name)
 
 
+def _term(sign, factors, scope):
+    """One signed product as its coefficient and its parameter factors,
+    the (token, order) pairs that name a parameter."""
+    coeff = as_poly(Fraction(sign))
+    targets = []
+    for factor in factors:
+        if isinstance(factor, Fraction):
+            coeff = coeff * as_poly(factor)
+        elif factor[0].text in scope.params:
+            targets.append(factor)
+        else:
+            coeff = coeff * Poly.var(_symbol_of(*factor, scope))
+    return coeff, targets
+
+
 def _equation_from_terms(terms, scope, context):
     free = []
     ops = {}
     for sign, factors in terms:
-        coeff = as_poly(Fraction(sign))
-        targets = []
-        for factor in factors:
-            if isinstance(factor, Fraction):
-                coeff = coeff * as_poly(factor)
-            elif factor[0].text in scope.params:
-                targets.append(factor)
-            else:
-                coeff = coeff * Poly.var(_symbol_of(*factor, scope))
+        coeff, targets = _term(sign, factors, scope)
         if len(targets) > 1:
             shown = " and ".join(t.text for t, _ in targets[:2])
             raise NonlinearInParams(
@@ -257,18 +264,35 @@ def _equation_from_terms(terms, scope, context):
 
 
 def _poly_from_terms(terms, scope):
-    def piece(sign, factors):
-        out = as_poly(Fraction(sign))
-        for factor in factors:
-            if isinstance(factor, Fraction):
-                out = out * as_poly(factor)
-            elif factor[0].text in scope.params:
-                tok, order = factor
-                out = out * Poly.var(param_sym(scope.params[tok.text], order))
-            else:
-                out = out * Poly.var(_symbol_of(*factor, scope))
-        return out
-    return Poly.sum(piece(sign, factors) for sign, factors in terms)
+    pieces = []
+    for sign, factors in terms:
+        coeff, targets = _term(sign, factors, scope)
+        for tok, order in targets:
+            coeff = coeff * Poly.var(param_sym(scope.params[tok.text], order))
+        pieces.append(coeff)
+    return Poly.sum(pieces)
+
+
+def _parse_equation(toks, scope, read, context, known=None):
+    """``<name>: <terms>;`` after an ``eq`` keyword, as the name token and
+    the LinearDiffPoly.  The name must not be in ``read``, and must be in
+    ``known`` when that is given; ``context`` opens the message of a
+    nonlinear term."""
+    name_tok = toks.take("an equation name")
+    if not _is_name(name_tok):
+        raise ParseError(f"expected an equation name, got '{name_tok.text}'",
+                         name_tok.line, name_tok.column)
+    if known is not None and name_tok.text not in known:
+        raise ParseError(f"'{name_tok.text}' is not an equation of the "
+                         f"system", name_tok.line, name_tok.column)
+    if name_tok.text in read:
+        raise ParseError(f"equation '{name_tok.text}' appears twice",
+                         name_tok.line, name_tok.column)
+    toks.expect(":")
+    terms = _parse_terms(toks, scope)
+    toks.expect(";")
+    return name_tok, _equation_from_terms(
+        terms, scope, f"{context} '{name_tok.text}'")
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +310,7 @@ def parse_document(text, any_shape=False):
     toks = _Stream(_tokenize(text))
     scope = _Scope()
     order = {"constants": [], "diff": [], "params": []}
-    equations = []
-    seen = set()
+    equations = {}
     while toks.peek() is not None:
         head = toks.take("a statement")
         if head.text in ("constants", "diff", "params"):
@@ -306,22 +329,8 @@ def parse_document(text, any_shape=False):
                     raise ParseError(f"expected ',' or ';', got '{tok.text}'",
                                      tok.line, tok.column)
         elif head.text == "eq":
-            name_tok = toks.take("an equation name")
-            if not _is_name(name_tok):
-                raise ParseError(
-                    f"expected an equation name, got '{name_tok.text}'",
-                    name_tok.line, name_tok.column)
-            if name_tok.text in seen:
-                raise ParseError(f"equation '{name_tok.text}' appears twice",
-                                 name_tok.line, name_tok.column)
-            seen.add(name_tok.text)
-            toks.expect(":")
-            terms = _parse_terms(toks, scope)
-            toks.expect(";")
-            equations.append((name_tok.text,
-                              _equation_from_terms(
-                                  terms, scope,
-                                  f"equation '{name_tok.text}'")))
+            name_tok, f = _parse_equation(toks, scope, equations, "equation")
+            equations[name_tok.text] = f
         else:
             raise ParseError(
                 f"expected 'constants', 'diff', 'params' or 'eq', "
@@ -343,7 +352,7 @@ def parse_document(text, any_shape=False):
     return SystemDocument(constants=tuple(order["constants"]),
                           symbols=tuple(order["diff"]),
                           parameters=tuple(order["params"]),
-                          equations=tuple(equations))
+                          equations=tuple(equations.items()))
 
 
 def _scope_of(document):
@@ -378,22 +387,11 @@ def parse_perturbation(text, document):
     """
     toks = _Stream(_tokenize(text))
     scope = _scope_of(document)
-    known = dict(document.equations)
     entries = {}
     while toks.peek() is not None:
         toks.expect("eq")
-        name_tok = toks.take("an equation name")
-        if name_tok.text not in known:
-            raise ParseError(f"'{name_tok.text}' is not an equation of the "
-                             f"system", name_tok.line, name_tok.column)
-        if name_tok.text in entries:
-            raise ParseError(f"equation '{name_tok.text}' appears twice",
-                             name_tok.line, name_tok.column)
-        toks.expect(":")
-        terms = _parse_terms(toks, scope)
-        toks.expect(";")
-        poly = _equation_from_terms(terms, scope,
-                                    f"perturbation of '{name_tok.text}'")
+        name_tok, poly = _parse_equation(toks, scope, entries,
+                                         "perturbation of", document.names)
         if not poly.free.is_zero():
             raise ParseError(f"perturbation of '{name_tok.text}' has a "
                              f"free part", name_tok.line, name_tok.column)
@@ -431,13 +429,17 @@ def _display_name(name, document):
     return name
 
 
-def _term_text(q, factors):
-    """One signed product; ``factors`` are ready symbol strings."""
-    sign = "-" if q < 0 else "+"
-    body = list(factors)
-    if abs(q) != 1 or not body:
-        body.insert(0, str(abs(q)))
-    return sign, "*".join(body)
+def _pieces(poly, document, tail=()):
+    """(sign, text) of each term of a polynomial in output order, its
+    factors followed by the ready symbol strings of ``tail``."""
+    out = []
+    for mono, q in sorted(poly.terms.items(),
+                          key=lambda kv: _output_key(kv[0])):
+        body = _mono_factors(mono, document) + list(tail)
+        if abs(q) != 1 or not body:
+            body.insert(0, str(abs(q)))
+        out.append(("-" if q < 0 else "+", "*".join(body)))
+    return out
 
 
 def _join(pieces):
@@ -478,28 +480,18 @@ def render_poly(poly, document=None):
     """Canonical text of a polynomial: decreasing derivative order first,
     then the symbol ranking (c1 before c2, parameters after, the rest
     alphabetically), constant term last."""
-    poly = as_poly(poly)
-    pieces = []
-    for mono, q in sorted(poly.terms.items(),
-                          key=lambda kv: _output_key(kv[0])):
-        pieces.append(_term_text(q, _mono_factors(mono, document)))
-    return _join(pieces)
+    return _join(_pieces(as_poly(poly), document))
 
 
 def render_equation(f, document=None):
     """Equation text: free part first, then parameters in file order with
     derivative orders ascending."""
-    pieces = []
-    for mono, q in sorted(f.free.terms.items(),
-                          key=lambda kv: _output_key(kv[0])):
-        pieces.append(_term_text(q, _mono_factors(mono, document)))
+    pieces = _pieces(f.free, document)
     for j in sorted(f.ops):
         shown = _display_name(f"u{j}", document)
         op = f.ops[j]
         for k in op.support():
-            for mono, q in sorted(op.coefficient(k).terms.items(),
-                                  key=lambda kv: _output_key(kv[0])):
-                pieces.append(_term_text(
-                    q, _mono_factors(mono, document) + [shown + _suffix(k)]))
+            pieces += _pieces(op.coefficient(k), document,
+                              [shown + _suffix(k)])
     return _join(pieces)
 

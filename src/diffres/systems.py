@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .algebra import Poly, as_poly, sym
-from .errors import AssumptionViolated, EmptyColumn, InputError
+from .errors import AssumptionViolated, InputError
 
 
 def param_sym(j, k=0):
@@ -254,7 +254,8 @@ def validate(system):
 
 @dataclass(frozen=True)
 class OrderProfile:
-    """Per-parameter derivative-order statistics of a system.
+    """Derivative-order statistics of a system, keyed by the labels of
+    its active parameters.
 
     low[j]   least derivative order of u_j occurring anywhere,
     high[j]  least gap between a polynomial's order and its top degree in u_j,
@@ -281,7 +282,8 @@ class OrderProfile:
 
 
 def order_profile(system):
-    """Compute the profile; every parameter slot must occur somewhere."""
+    """Compute the profile over the active parameters; every polynomial
+    must involve one."""
     orders = system.orders()
     for i, f in enumerate(system.polys):
         if not f.ops:
@@ -289,10 +291,8 @@ def order_profile(system):
                 f"polynomial {i + 1} involves no parameter")
     low = {}
     high = {}
-    for j in range(1, system.params + 1):
+    for j in system.active_params():
         rows = [(i, f.ops[j]) for i, f in enumerate(system.polys) if j in f.ops]
-        if not rows:
-            raise EmptyColumn(j)
         low[j] = min(op.ldeg() for _, op in rows)
         high[j] = min(orders[i] - op.deg() for i, op in rows)
     span = {j: low[j] + high[j] for j in low}

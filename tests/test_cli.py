@@ -23,6 +23,32 @@ eq f4: c4 + u1 + u2' + u3'';
 
 FOUR_EQ_REGULAR = FOUR_EQ_SINGULAR.replace("c1 + u1''", "c1 + 5*u1''")
 
+# the standard perturbation of the singular system, in the file's names
+STANDARD_PERTURBATION = ("eq f1: u3'';\neq f2: u1 + u3;\n"
+                         "eq f3: u2' + u1;\neq f4: u2;\n")
+
+# the singular system behind an equation on a parameter of its own, listed
+# first; the canonical subsystem drops that equation
+FIVE_EQ = """
+diff: c0, c1, c2, c3, c4;
+params: v, u1, u2, u3;
+
+eq g: c0 + v;
+eq f1: c1 + u1'' + 3*u2 + u3;
+eq f2: c2 + u1 + u3;
+eq f3: c3 + u1'' + u2 + u3;
+eq f4: c4 + u1 + u2' + u3'';
+"""
+
+# one parameter per equation: no determinant frame, P* undefined
+WIDE = """
+diff: c1, c2;
+params: u1, u2;
+
+eq f1: c1 + u1 + u2;
+eq f2: c2 + u1 - u2;
+"""
+
 # parameter 1 sits only in the first polynomial, at orders 1 and 5
 TALL_ORDER = """
 diff: c1, c2, c3;
@@ -64,7 +90,9 @@ def sysdir(tmp_path):
                        ("regular.sys", FOUR_EQ_REGULAR),
                        ("tall.sys", TALL_ORDER),
                        ("proper.sys", PROPER_SUB),
-                       ("threeways.sys", THREE_WAYS)]:
+                       ("threeways.sys", THREE_WAYS),
+                       ("five.sys", FIVE_EQ),
+                       ("wide.sys", WIDE)]:
         (tmp_path / name).write_text(text)
     return tmp_path
 
@@ -171,6 +199,13 @@ def test_matrix_general_takes_beta_omega(sysdir, capsys):
     assert payload["formula"]["betaOmega"] == [[0, 0, 0], [4, 6, 4, 4]]
 
 
+def test_general_formula_needs_beta_and_omega(sysdir, capsys):
+    code, _, err = run(capsys, "matrix", sysdir / "singular.sys",
+                       "--formula", "general", "--beta", "0,0,0")
+    assert code == 2
+    assert "--beta and --omega" in json.loads(err)["message"]
+
+
 def test_beta_on_plain_formula_exits_2(sysdir, capsys):
     code, _, err = run(capsys, "matrix", sysdir / "singular.sys",
                        "--beta", "0,0,0")
@@ -269,6 +304,20 @@ def test_subsystem_all_lists_candidates(sysdir, capsys):
             in out)
 
 
+def test_subsystem_all_reports_an_undefined_subsystem(sysdir, capsys):
+    payload = run_json(capsys, "subsystem", sysdir / "wide.sys", "--all",
+                       "--allow-any-shape")
+    assert payload["subsystem"] == {
+        "members": None, "all": [],
+        "note": "2 active parameters for 2 polynomials"}
+    code, out, _ = run(capsys, "subsystem", sysdir / "wide.sys", "--all",
+                       "--allow-any-shape")
+    assert code == 0
+    assert out.splitlines() == [
+        "P* is undefined: 2 active parameters for 2 polynomials",
+        "super essential subsystems: none"]
+
+
 def test_eliminate_direct(sysdir, capsys):
     payload = run_json(capsys, "eliminate", sysdir / "regular.sys")
     report = payload["elimination"]
@@ -309,13 +358,36 @@ def test_eliminate_perturb_off_fails_honestly(sysdir, capsys):
 
 def test_eliminate_perturb_custom(sysdir, tmp_path, capsys):
     pfile = tmp_path / "eps.pert"
-    pfile.write_text("eq f1: u3'';\neq f2: u1 + u3;\n"
-                     "eq f3: u2' + u1;\neq f4: u2;\n")
+    pfile.write_text(STANDARD_PERTURBATION)
     auto = run_json(capsys, "eliminate", sysdir / "singular.sys")
     custom = run_json(capsys, "eliminate", sysdir / "singular.sys",
                       "--perturb", "custom", "--perturb-file", pfile)
     assert custom["elimination"]["output"] == auto["elimination"]["output"]
     assert custom["elimination"]["branch"] == "perturbed"
+
+
+def test_eliminate_names_the_parameters_of_the_file(sysdir, tmp_path, capsys):
+    code, out, _ = run(capsys, "eliminate", sysdir / "five.sys")
+    assert code == 0
+    assert "perturbation f1: u3''" in out.splitlines()
+    assert "perturbation f2: u1 + u3" in out.splitlines()
+    pfile = tmp_path / "eps.pert"
+    pfile.write_text(STANDARD_PERTURBATION)
+    auto = run_json(capsys, "eliminate", sysdir / "five.sys")
+    custom = run_json(capsys, "eliminate", sysdir / "five.sys",
+                      "--perturb", "custom", "--perturb-file", pfile)
+    assert custom == auto
+    assert auto["elimination"]["output"] == run_json(
+        capsys, "eliminate", sysdir / "singular.sys")["elimination"]["output"]
+
+
+def test_perturb_file_needs_custom(sysdir, tmp_path, capsys):
+    pfile = tmp_path / "eps.pert"
+    pfile.write_text("eq f1: u3'';\n")
+    code, _, err = run(capsys, "eliminate", sysdir / "singular.sys",
+                       "--perturb-file", pfile)
+    assert code == 2
+    assert "--perturb custom" in json.loads(err)["message"]
 
 
 def test_perturb_custom_needs_file(sysdir, capsys):

@@ -139,6 +139,20 @@ def test_every_spec_is_square():
             assert spec.side == spec.width + 1
 
 
+def test_frames_keep_parameter_labels_with_gaps():
+    """Labels 2 and 4 of four slots give the frames of labels 1 and 2,
+    with the labels on the columns."""
+    system = motivation_system()
+    label = {1: 2, 2: 4}
+    gapped = LinearSystem([LinearDiffPoly(f.free, {label[j]: op
+                                                   for j, op in f.ops.items()})
+                           for f in system.polys], params=4)
+    for ctor in (spec_fres, spec_cres, spec_cf):
+        want, got = (assemble(s, ctor(s)) for s in (system, gapped))
+        assert got.columns == tuple((label[j], k) for j, k in want.columns)
+        assert got.entries == want.entries
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------

@@ -619,6 +619,49 @@ def test_eliminate_reports_a_proper_subsystem():
     assert any("subsystem" in note for note in report.notes)
 
 
+def shifted(f, by):
+    """The polynomial with every parameter label raised by ``by``."""
+    return LinearDiffPoly(f.free, {j + by: op for j, op in f.ops.items()})
+
+
+def test_eliminate_keeps_the_parameter_labels_of_the_system():
+    """An equation c0 + u1 that the subsystem drops, ahead of the singular
+    four-equation system on labels 2-4: the perturbation is the standard
+    one on those labels, and given back it yields the same output."""
+    four = four_eq_system(1)
+    system = LinearSystem([linear_poly(v("c0"), {1: {0: 1}})]
+                          + [shifted(f, 1) for f in four.polys], params=4)
+    report = eliminate(system)
+    assert (report.branch, report.members) == ("perturbed", (2, 3, 4, 5))
+    standard = default_perturbation(four).terms
+    assert report.perturbation.terms == tuple(shifted(t, 1) for t in standard)
+    assert sorted(report.profile.low) == [2, 3, 4]
+    assert report.output == eliminate(four).output
+    given = Perturbation((term({}),) + report.perturbation.terms)
+    assert eliminate(system, perturbation=given).output == report.output
+
+
+@pytest.mark.parametrize("lead, branch, note", [
+    (5, "direct", "membership not checked"),
+    (1, "perturbed", "lowest coefficient left unnormalized"),
+])
+def test_eliminate_without_fresh_free_constants(lead, branch, note):
+    """With 2*c1 in place of c1 the membership substitution does not
+    exist, and the perturbed branch returns its lowest coefficient as is."""
+    four = four_eq_system(lead)
+    f1 = LinearDiffPoly(2 * v("c1"), four.polys[0].ops)
+    system = LinearSystem((f1,) + four.polys[1:], params=3)
+    report = eliminate(system)
+    assert report.branch == branch
+    assert report.membership is None
+    assert any(note in n for n in report.notes)
+    if branch == "direct":
+        assert report.output == dfres(system)
+    else:
+        pdet = perturbed_matrix(system, report.perturbation).determinant()
+        assert report.output == lowest_p_coefficient(pdet)[1]
+
+
 def test_eliminate_rejects_invalid_systems():
     f = linear_poly(v("c1"), {1: {0: 1}})
     with pytest.raises(AssumptionViolated):

@@ -317,11 +317,11 @@ def test_random_kernel_supports_are_super_essential():
     assert seen_proper > 5
 
 
-def test_restrict_renumbers_parameters():
+def test_restrict_keeps_parameter_labels():
     system = pattern_system(SE_DE_3)
-    sub, param_map = restrict(system, (3, 4))
-    assert param_map == {2: 1}
-    assert sub.n == 2
+    sub, members = restrict(system, (4, 3))
+    assert members == (3, 4)
+    assert sub.polys == (system.polys[2], system.polys[3])
+    assert sub.params == system.params
+    assert sub.active_params() == [2]
     assert nu(sub) == 1
-    assert sub.polys[0].ops.keys() == {1}
-    assert sub.polys[0].free == system.polys[2].free

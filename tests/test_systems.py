@@ -6,7 +6,7 @@ import pytest
 from conftest import four_eq_system, motivation_system, tall_order_system, v
 
 from diffres.algebra import Poly, sym
-from diffres.errors import AssumptionViolated, EmptyColumn, InputError
+from diffres.errors import AssumptionViolated, InputError
 from diffres.systems import (
     DiffOperator,
     LinearDiffPoly,
@@ -112,11 +112,12 @@ def test_profile_four_eq_values():
     assert prof.span == {1: 0, 2: 1, 3: 0}
 
 
-def test_profile_empty_column():
-    f = linear_poly(v("c1"), {1: {0: 1}})
-    g = linear_poly(v("c2"), {1: {1: 1}})
-    with pytest.raises(EmptyColumn):
-        order_profile(LinearSystem([f, g], params=2))
+def test_profile_skips_inactive_parameters():
+    f = linear_poly(v("c1"), {2: {0: 1}})
+    g = linear_poly(v("c2"), {2: {1: 1}})
+    prof = order_profile(LinearSystem([f, g], params=3))
+    assert (prof.low, prof.high, prof.span) == ({2: 0}, {2: 0}, {2: 0})
+    assert (prof.total, prof.orders) == (0, (0, 1))
 
 
 def test_profile_requires_parameters_everywhere():
