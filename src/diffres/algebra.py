@@ -576,6 +576,30 @@ def _pmul(a, b):
                        for m1, c1 in a.items() for m2, c2 in b.items()))
 
 
+def _add_product(out, a, b):
+    """Add the product of the packed term dicts ``a`` and ``b`` into ``out``
+    in place, as ``_merge(out, _pmul(a, b).items())`` would.  When either
+    has one term the product is merged in straight; otherwise it goes
+    through ``_pmul``, whose own merge may drop and re-insert a monomial
+    that cancels inside the product, and so fix an order that merging its
+    pairs one by one into ``out`` would not."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) != 1:
+        _merge(out, _pmul(a, b).items())
+        return
+    (m1, c1), = a.items()
+    for m2, c2 in b.items():
+        m = m1 + m2
+        v = out.get(m)
+        if v is None:
+            out[m] = c1 * c2
+        elif v := v + c1 * c2:
+            out[m] = v
+        else:
+            del out[m]
+
+
 def _ppow(a, n):
     """Packed ``a ** n`` by the squarings of ``Poly.__pow__``."""
     out = {0: 1}
@@ -821,22 +845,47 @@ def _int_rows(rows):
 
 
 def _bareiss(rows, free=None):
-    """Fraction-free elimination of a matrix of ints in place, after
-    Bareiss (1968): (pivot columns, row order, sign).
+    """Fraction-free elimination of a matrix of ints, after Bareiss (1968):
+    (pivot columns, row order, sign).
 
     Columns are scanned left to right; each takes as pivot its first
     nonzero entry among the rows not used yet, and a column without one
     is skipped.  So the pivots count the rank, and the first rows of
     ``order`` (indices of the input rows) on the pivot columns hold a
-    nonsingular minor.  Every entry produced is a minor of the input, so
-    each division by the previous pivot is exact.  ``free`` is one more
-    column, one int term dict per row, eliminated with the rows and merged
-    in the order that ``Poly`` arithmetic merges the same column.
+    nonsingular minor.  ``free`` is one more column, one int term dict
+    per row, eliminated with the rows; on return each row's dict is the
+    one the eager elimination below leaves, its keys in the order that
+    ``Poly`` arithmetic merges the same column.  ``rows`` is overwritten
+    as scratch.
+
+    Eagerly, step k, with pivot d_k (d_0 = 1), replaces every later row x
+    by (d_k x - a y) / d_(k-1), with y the pivot row and a the entry of x
+    in the pivot column.  Every entry that produces is a minor of the
+    input, so every division is exact.  Here a step updates only the
+    entries right of its pivot column, since the rest are never read
+    again, and skips a row whose entry a is 0.  Such a step would only
+    have scaled the row by d_k / d_(k-1), and those factors telescope:
+    a row last updated at step t holds the eager row of step k - 1 times
+    d_t / d_(k-1).  So step k replaces that row by (d_k x - a y) / d_t,
+    which is the eager row of step k, minors again, so the division is
+    exact.  The row taken as pivot at step k is multiplied by d_(k-1)
+    and divided by d_t, and after the last step K the free dict of a row
+    is multiplied by d_K and divided by d_t: each quotient is an eager
+    row, so each division is exact as well.
     """
     n = len(rows)
     order = list(range(n))
     cols = []
-    sign = prev = 1
+    sign = 1
+    pivots = [1]     # d_0, d_1, ...: pivots[k] is the divisor of step k + 1
+    done = [0] * n   # done[i] = t: row i was last updated at step t
+
+    def caught_up(i, terms):
+        t, k = done[i], len(cols)
+        if t == k:
+            return terms
+        return [x * pivots[k] // pivots[t] for x in terms]
+
     for c in range(len(rows[0]) if rows else 0):
         k = len(cols)
         if k == n:
@@ -847,17 +896,37 @@ def _bareiss(rows, free=None):
         if r != k:
             order[k], order[r] = order[r], order[k]
             sign = -sign
-        top = rows[order[k]]
-        pivot = top[c]
+        p = order[k]
+        pivot, *top = caught_up(p, rows[p][c:])
+        if free is not None:
+            ftop = free[p] = dict(zip(free[p], caught_up(p, free[p].values())))
         for i in order[k + 1:]:
-            a = rows[i][c]
-            rows[i] = [(pivot * x - a * y) // prev for x, y in zip(rows[i], top)]
+            row = rows[i]
+            a = row[c]
+            if not a:
+                continue
+            d = pivots[done[i]]
+            row[c + 1:] = [(pivot * x - a * y) // d
+                           for x, y in zip(row[c + 1:], top)]
+            done[i] = k + 1
             if free is not None:
-                f = _merge({m: pivot * v for m, v in free[i].items()},
-                           ((m, -a * v) for m, v in free[order[k]].items() if a))
-                free[i] = {m: v // prev for m, v in f.items()}
-        prev = pivot
+                f = free[i]
+                out = {}
+                for m, v in f.items():
+                    y = ftop.get(m)
+                    if y is None:
+                        out[m] = pivot * v // d
+                    elif v := pivot * v - a * y:
+                        out[m] = v // d
+                for m, y in ftop.items():
+                    if m not in f:
+                        out[m] = -a * y // d
+                free[i] = out
+        pivots.append(pivot)
         cols.append(c)
+    if free is not None:
+        for i in order[len(cols):]:
+            free[i] = dict(zip(free[i], caught_up(i, free[i].values())))
     return cols, order, sign
 
 
@@ -933,15 +1002,15 @@ def _laplace(m, ring):
             return packed[unused.bit_length() - 1][c]
         det = memo.get(unused)
         if det is None:
-            terms = []
+            det = {}
             for r, e, neg in columns[c]:
                 bit = 1 << r
                 if unused & bit:
                     sub = minor(unused ^ bit, c + 1)
                     if sub:
                         odd = (unused & (bit - 1)).bit_count() & 1
-                        terms.append(_pmul(neg if odd else e, sub))
-            det = memo[unused] = _sum_terms(terms)
+                        _add_product(det, neg if odd else e, sub)
+            memo[unused] = det
         return det
 
     try:

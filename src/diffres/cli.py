@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import perturb as _perturb
-from .errors import InputError, MathError
+from .errors import InputError, MathError, PerturbationOutside
 from .formulas import (assemble, certify_nonzero, spec_cf, spec_cres,
                        spec_fres, spec_general, zero_columns)
 from .structure import (enumerate_super_essential, is_differentially_essential,
@@ -241,7 +241,12 @@ def _cmd_eliminate(args):
         if args.perturb_file is not None:
             raise InputError("--perturb-file only applies to --perturb custom")
         mode = args.perturb
-    report = _perturb.eliminate(system, perturbation=mode)
+    try:
+        report = _perturb.eliminate(system, perturbation=mode)
+    except PerturbationOutside as exc:
+        raise PerturbationOutside(
+            exc.equation, exc.label, exc.member,
+            (doc.names[exc.equation - 1], doc.display(exc.label))) from None
     members = [doc.names[i - 1] for i in report.members]
     lines = [f"branch: {report.branch}",
              f"members: {_brace(members)}",

@@ -97,6 +97,22 @@ class NotDPPEShaped(MathError):
     """Membership checking needs free terms that are single fresh constants."""
 
 
+class PerturbationOutside(InputError):
+    """A given perturbation has a term that the subsystem cannot take: a
+    term on a parameter that the subsystem does not involve, or a nonzero
+    term on an equation outside it.  ``equation`` is the 1-based index of
+    the equation, ``label`` that of the parameter; ``names`` are the names
+    to print for the two, by default f<equation> and u<label>."""
+
+    def __init__(self, equation, label, member, names=None):
+        self.equation, self.label, self.member = equation, label, member
+        eq, param = names or (f"f{equation}", f"u{label}")
+        why = ("a parameter that the subsystem does not involve" if member
+               else f"but the subsystem does not hold {eq}")
+        super().__init__(f"the perturbation of {eq} has a term in {param}, "
+                         f"{why}")
+
+
 # -- parsing ----------------------------------------------------------------
 
 class ParseError(InputError):

@@ -31,6 +31,7 @@ from .errors import (
     NotDPPEShaped,
     NotLinear,
     NotSuperEssential,
+    PerturbationOutside,
     SymbolClash,
     ZeroInput,
 )
@@ -635,6 +636,24 @@ def _verdict(image, notes):
     return not image
 
 
+def _restricted_perturbation(eps, system, sub, members):
+    """The terms of the given perturbation ``eps`` on the equations of the
+    subsystem ``sub`` of ``system``, whose 1-based indices are
+    ``members``.  A wrong number of terms raises ValueError; a term on a
+    parameter that ``sub`` does not involve, or a nonzero term on an
+    equation outside it, raises PerturbationOutside."""
+    if eps.n != system.n:
+        raise ValueError(f"{eps.n} perturbation terms "
+                         f"for {system.n} polynomials")
+    active = set(sub.active_params())
+    for i, t in enumerate(eps.terms, 1):
+        member = i in members
+        for j in sorted(t.ops):
+            if not member or j not in active:
+                raise PerturbationOutside(i, j, member)
+    return Perturbation(tuple(eps.terms[i - 1] for i in members))
+
+
 def eliminate(system, perturbation="auto"):
     """Produce a nonzero eliminant of the parameter-free ideal.
 
@@ -647,7 +666,9 @@ def eliminate(system, perturbation="auto"):
     ``perturbation`` picks the rescue strategy when the determinant
     vanishes: "auto" builds the standard one, "off" raises instead, and a
     Perturbation instance (one term per polynomial of the full system) is
-    restricted to the subsystem and used as given.
+    restricted to the subsystem and used as given.  A given perturbation
+    is checked before anything is assembled: a term that the subsystem
+    cannot take raises PerturbationOutside.
     """
     if (not isinstance(perturbation, Perturbation)
             and perturbation not in ("auto", "off")):
@@ -657,6 +678,9 @@ def eliminate(system, perturbation="auto"):
         raise AssumptionViolated("the system fails the standing assumptions")
     cert = super_essential_subsystem(system)
     sub, _ = restrict(system, cert.members)
+    if isinstance(perturbation, Perturbation):
+        perturbation = _restricted_perturbation(perturbation, system, sub,
+                                                cert.members)
     profile = order_profile(sub)
     spec = spec_fres(sub)
     matrix = assemble(sub, spec)
@@ -684,14 +708,8 @@ def eliminate(system, perturbation="auto"):
     if perturbation == "off":
         raise AssumptionViolated(
             "the direct determinant vanishes and perturbation is disabled")
-    if isinstance(perturbation, Perturbation):
-        if perturbation.n != system.n:
-            raise ValueError(f"{perturbation.n} perturbation terms "
-                             f"for {system.n} polynomials")
-        eps = Perturbation(tuple(perturbation.terms[i - 1]
-                                 for i in cert.members))
-    else:
-        eps = default_perturbation(sub)
+    eps = (perturbation if isinstance(perturbation, Perturbation)
+           else default_perturbation(sub))
     shifted = perturb_system(sub, eps)
     pdet = assemble(shifted, spec).determinant()
     if pdet.is_zero():

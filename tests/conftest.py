@@ -6,7 +6,7 @@ names.  All symbols here are differential indeterminates unless noted.
 
 from fractions import Fraction
 
-from diffres.algebra import Poly, sym
+from diffres.algebra import Poly, _merge, sym
 from diffres.systems import LinearDiffPoly, LinearSystem, linear_poly
 
 
@@ -113,3 +113,35 @@ SE_DE_3 = [[1, 1, 1], [0, 1, 0], [0, 1, 0], [0, 1, 0]]
 
 def half(x):
     return Fraction(x, 2)
+
+
+def eager_bareiss(rows, free=None):
+    """Reference for ``algebra._bareiss``: the eager elimination it replaced,
+    which rewrites every later row, whole, at every step.  Its body is kept
+    as it was."""
+    n = len(rows)
+    order = list(range(n))
+    cols = []
+    sign = prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(cols)
+        if k == n:
+            break
+        r = next((r for r in range(k, n) if rows[order[r]][c]), None)
+        if r is None:
+            continue
+        if r != k:
+            order[k], order[r] = order[r], order[k]
+            sign = -sign
+        top = rows[order[k]]
+        pivot = top[c]
+        for i in order[k + 1:]:
+            a = rows[i][c]
+            rows[i] = [(pivot * x - a * y) // prev for x, y in zip(rows[i], top)]
+            if free is not None:
+                f = _merge({m: pivot * v for m, v in free[i].items()},
+                           ((m, -a * v) for m, v in free[order[k]].items() if a))
+                free[i] = {m: v // prev for m, v in f.items()}
+        prev = pivot
+        cols.append(c)
+    return cols, order, sign

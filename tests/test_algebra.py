@@ -26,6 +26,7 @@ from diffres.algebra import (
     _pmul,
     _ppow,
     _Ring,
+    _sum_terms,
     as_poly,
     const_sym,
     determinant,
@@ -36,7 +37,7 @@ from diffres.algebra import (
 )
 from diffres.errors import DivisionByZero, NonSquare, NotDivisible
 
-from conftest import derive_n
+from conftest import derive_n, eager_bareiss
 
 
 def cofactor_det(m):
@@ -607,6 +608,135 @@ def test_determinant_numeric_and_sparse_agree():
               for _ in range(n)] for _ in range(n)]
         assert (_bareiss_frame(m, None)[0] == _det_laplace(m)[0]
                 == determinant(m))
+
+
+NONZERO = [v for v in range(-9, 10) if v]
+
+
+def sparse_int_matrices(rng):
+    """Seeded sparse int matrices for ``_bareiss``, N x (N - 1) or square,
+    side 1-30 and 30-85 % zeros, with a free dict of 1-4 monomials per
+    row.  A third are made rank-deficient: a column of a tall matrix, or a
+    row of a square one with its free dict, becomes a combination of two
+    others.  Yields (rows, free)."""
+    monos = [(), ("x",), ("y",), ("x", "y"), ("x", "x"), ("z",)]
+    for _ in range(150):
+        n = rng.randint(1, 30)
+        width = n if rng.random() < 0.5 else n - 1
+        zeros = rng.uniform(0.3, 0.85)
+        rows = [[rng.choice(NONZERO) if rng.random() >= zeros else 0
+                 for _ in range(width)] for _ in range(n)]
+        free = [{m: rng.choice(NONZERO)
+                 for m in rng.sample(monos, rng.randint(1, 4))}
+                for _ in range(n)]
+        a, b = rng.choice(NONZERO), rng.choice(NONZERO)
+        if rng.random() < 1 / 3 and width >= 3:
+            if width == n:
+                i, j, k = rng.sample(range(n), 3)
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+                free[i] = {m: c for m in {**free[j], **free[k]}
+                           if (c := a * free[j].get(m, 0)
+                               + b * free[k].get(m, 0))}
+            else:
+                i, j, k = rng.sample(range(width), 3)
+                for row in rows:
+                    row[i] = a * row[j] + b * row[k]
+        yield rows, free
+
+
+def test_lazy_bareiss_matches_the_eager_elimination_random():
+    """The lazy elimination gives the pivots, the row order, the sign and
+    every free dict, items in order, of the eager one it replaced."""
+    deficient = cancelled = 0
+    for rows, free in sparse_int_matrices(random.Random(47)):
+        eager_free = [dict(f) for f in free]
+        want = eager_bareiss([list(r) for r in rows], eager_free)
+        assert algebra._bareiss([list(r) for r in rows]) == want
+        assert algebra._bareiss(rows, free) == want
+        assert ([list(f.items()) for f in free]
+                == [list(f.items()) for f in eager_free])
+        cols, order, _ = want
+        deficient += len(cols) < min(len(rows), len(rows[0]))
+        cancelled += not free[order[-1]]
+    assert deficient >= 40
+    assert cancelled >= 10
+
+
+def test_a_row_left_alone_for_six_steps_becomes_the_pivot():
+    """Row 0 of this 9 x 8 staircase is zero on the first six pivot
+    columns, so the lazy elimination leaves it untouched for six steps;
+    then it is the pivot of column 6 and must enter scaled by the ratio of
+    the pivots.  Rows 7 and 8 are updated at every step."""
+    rows = [[0] * 6 + [7, 1]]
+    for j in range(6):
+        rows.append([0] * j + [j + 2] + [(j + k) % 5 - 2 for k in range(7 - j)])
+    rows.append([3, -1, 2, 5, -4, 1, 2, 6])
+    rows.append([1, 2, -3, 1, 1, -2, 5, -1])
+    free = [{("x",): i + 1, ("y",): 2 - i} for i in range(len(rows))]
+    frame = [[Poly.const(e) for e in row]
+             + [(i + 1) * Poly.var(sym("x")) + (2 - i) * Poly.var(sym("y"))]
+             for i, row in enumerate(rows)]
+    eager_free = [dict(f) for f in free]
+    want = eager_bareiss([list(r) for r in rows], eager_free)
+    cols, order, _ = want
+    assert cols == list(range(8)) and order.index(0) == 6
+    assert algebra._bareiss(rows, free) == want
+    assert ([list(f.items()) for f in free]
+            == [list(f.items()) for f in eager_free])
+    det = _bareiss_frame(frame, None)[0]
+    assert not det.is_zero() and det == _det_laplace(frame)[0]
+
+
+def laplace_by_sum_terms(m, ring):
+    """Reference for ``algebra._laplace``: the same expansion, unmemoized,
+    each minor the ``_sum_terms`` of its ``_pmul`` products.  Returns the
+    determinant and the number of products whose own terms cancelled."""
+    n = len(m)
+    packed = [[ring.pack(e.terms) for e in row] for row in m]
+    cancelled = 0
+
+    def minor(unused, c):
+        nonlocal cancelled
+        if c == n - 1:
+            return packed[unused.bit_length() - 1][c]
+        terms = []
+        for r in range(n):
+            bit, e = 1 << r, packed[r][c]
+            if unused & bit and e:
+                sub = minor(unused ^ bit, c + 1)
+                if sub:
+                    odd = (unused & (bit - 1)).bit_count() & 1
+                    terms.append(_pmul({k: -v for k, v in e.items()}
+                                       if odd else e, sub))
+                    cancelled += len(terms[-1]) < len(e) * len(sub)
+        return _sum_terms(terms)
+    return minor((1 << n) - 1, 0), cancelled
+
+
+def test_laplace_sums_in_place_in_the_order_of_sum_terms():
+    """Products merged straight into a minor keep the ordered items of
+    ``_sum_terms`` over ``_pmul``, also where a product of two sums
+    cancels inside itself."""
+    # merged pair by pair, this product of two sums would move monomial 5
+    # to the end: its first pair cancels the 5 already there, its last
+    # pair brings it back
+    out = {5: -1}
+    algebra._add_product(out, {0: 1, 1: 1}, {5: 1, 4: -1})
+    assert list(out.items()) == [(5, -1), (4, -1), (6, 1)]
+    rng = random.Random(53)
+    x, y = Poly.var(sym("x")), Poly.var(sym("y"))
+    pool = [x, -y, 2 * x * y, Poly.const(3), x + y, x - y, y - x,
+            x * y - 1, x * x - y * y]
+    cancelled = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        m = [[rng.choice(pool) if rng.random() < 0.75 else Poly.zero()
+              for _ in range(n)] for _ in range(n)]
+        ring = _Ring([sym("x"), sym("y")], 2 * n)
+        want, k = laplace_by_sum_terms(m, ring)
+        cancelled += k
+        assert list(algebra._laplace(m, ring).items()) == list(want.items())
+    assert cancelled >= 20
 
 
 # ---------------------------------------------------------------------------

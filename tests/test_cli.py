@@ -381,6 +381,35 @@ def test_eliminate_names_the_parameters_of_the_file(sysdir, tmp_path, capsys):
         capsys, "eliminate", sysdir / "singular.sys")["elimination"]["output"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("eq f1: v;\n", "the perturbation of f1 has a term in v, a parameter "
+                    "that the subsystem does not involve"),
+    ("eq g: u1;\n", "the perturbation of g has a term in u1, but the "
+                    "subsystem does not hold g"),
+])
+def test_eliminate_rejects_a_perturbation_the_subsystem_cannot_take(
+        sysdir, tmp_path, capsys, text, message):
+    """On the five-equation file the subsystem drops g and its parameter
+    v: a term on v, or any term for g, is an input error in the file's
+    names, not a missing column or a silently dropped term."""
+    pfile = tmp_path / "eps.pert"
+    pfile.write_text(text)
+    code, out, err = run(capsys, "eliminate", sysdir / "five.sys",
+                         "--perturb", "custom", "--perturb-file", pfile)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "PerturbationOutside",
+                               "message": message}
+
+
+def test_eliminate_takes_a_zero_term_outside_the_subsystem(
+        sysdir, tmp_path, capsys):
+    pfile = tmp_path / "eps.pert"
+    pfile.write_text("eq g: 0;\n" + STANDARD_PERTURBATION)
+    custom = run_json(capsys, "eliminate", sysdir / "five.sys",
+                      "--perturb", "custom", "--perturb-file", pfile)
+    assert custom == run_json(capsys, "eliminate", sysdir / "five.sys")
+
+
 def test_perturb_file_needs_custom(sysdir, tmp_path, capsys):
     pfile = tmp_path / "eps.pert"
     pfile.write_text("eq f1: u3'';\n")

@@ -21,9 +21,11 @@ from diffres.algebra import (Frac, Poly, _det_with_image, const_sym,
 from diffres.errors import (
     AssumptionViolated,
     EmptyInput,
+    InputError,
     NotDPPEShaped,
     NotLinear,
     NotSuperEssential,
+    PerturbationOutside,
     SymbolClash,
     ZeroInput,
 )
@@ -639,6 +641,33 @@ def test_eliminate_keeps_the_parameter_labels_of_the_system():
     assert report.output == eliminate(four).output
     given = Perturbation((term({}),) + report.perturbation.terms)
     assert eliminate(system, perturbation=given).output == report.output
+
+
+@pytest.mark.parametrize("i, ops, label, member", [
+    (2, {1: {0: 1}}, 1, True),            # u1 is the dropped equation's own
+    (3, {3: {1: 2}, 1: {2: 1}}, 1, True),
+    (1, {2: {0: 1}}, 2, False),           # equation 1 is outside
+])
+def test_eliminate_rejects_a_perturbation_the_subsystem_cannot_take(
+        i, ops, label, member, monkeypatch):
+    """A term on a parameter that the subsystem does not involve, or a
+    nonzero term on an equation outside it, raises an InputError with the
+    equation and the parameter before anything is assembled."""
+    four = four_eq_system(1)
+    system = LinearSystem([linear_poly(v("c0"), {1: {0: 1}})]
+                          + [shifted(f, 1) for f in four.polys], params=4)
+    terms = [term({}) for _ in range(5)]
+    terms[i - 1] = term(ops)
+
+    def no_assembly(*args):
+        raise AssertionError("assembled before checking the perturbation")
+    monkeypatch.setattr(perturb, "assemble", no_assembly)
+    with pytest.raises(PerturbationOutside) as err:
+        eliminate(system, perturbation=Perturbation(terms))
+    assert isinstance(err.value, InputError)
+    assert (err.value.equation, err.value.label, err.value.member) == (
+        i, label, member)
+    assert f"f{i}" in str(err.value) and f"u{label}" in str(err.value)
 
 
 @pytest.mark.parametrize("lead, branch, note", [
