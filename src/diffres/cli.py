@@ -248,6 +248,11 @@ def _cmd_eliminate(args):
             exc.equation, exc.label, exc.member,
             (doc.names[exc.equation - 1], doc.display(exc.label))) from None
     members = [doc.names[i - 1] for i in report.members]
+    # eliminate names the subsystem f<i> by position; the file names it
+    by_position = ("working on the proper subsystem "
+                   + _brace(f"f{i}" for i in report.members))
+    notes = [f"working on the proper subsystem {_brace(members)}"
+             if note == by_position else note for note in report.notes]
     lines = [f"branch: {report.branch}",
              f"members: {_brace(members)}",
              f"matrix side: {report.side}"]
@@ -259,7 +264,7 @@ def _cmd_eliminate(args):
     lines.append("output: " + render_poly(report.output, doc))
     shown = {True: "verified", False: "FAILED", None: "not checked"}
     lines.append(f"membership: {shown[report.membership]}")
-    for note in report.notes:
+    for note in notes:
         lines.append(f"note: {note}")
     payload = {"branch": report.branch,
                "members": members,
@@ -269,7 +274,7 @@ def _cmd_eliminate(args):
                "recomputedSide": report.recomputed_side,
                "output": render_poly(report.output, doc),
                "membershipVerified": report.membership,
-               "notes": list(report.notes)}
+               "notes": notes}
     if report.perturbation is not None:
         payload["perturbation"] = {
             name: render_equation(term, doc)

@@ -66,7 +66,12 @@ class Perturbation:
 
     ``terms[i]`` is what gets subtracted (times the perturbation variable)
     from the i-th polynomial.  ``matching`` records, when the terms come
-    from a matching of the presence pattern, which column each row used.
+    from a matching of the presence pattern, which column each row used:
+    sorted pairs (row, j), where row is the 1-based position that indexes
+    ``terms`` (``terms[row - 1]`` involves u_j) and j the parameter label.
+    In the report of ``eliminate`` the perturbation is the subsystem's, so
+    a row counts the members (row r is equation ``members[r - 1]`` of the
+    full system) while j keeps its label in the full system.
     """
 
     terms: tuple

@@ -18,6 +18,15 @@ equation is a sum of terms; a term multiplies an optional rational, any
 number of declared symbols and at most one parameter derivative with
 ``*``.  ``x'`` and ``x''`` abbreviate ``x^(1)`` and ``x^(2)``.
 
+The parser strips comments line by line, checks the whole text for an
+unexpected character with one regex search and splits it into token
+strings with one ``findall``; the grammar walks that list by index.  Each
+term becomes one monomial, its symbols sorted by ``Sym.key``, times the
+product of its rationals.  Every ``ParseError`` that points at the text
+carries the line and column of the offending character or token (at the
+end of input, those of the last token); they are found by running the
+token regex again up to that token, only when the error is raised.
+
 Rendered polynomials order their terms by decreasing derivative order
 and then by the symbol ranking (c1 highest); ``parse_poly`` reads that
 form back, so render/parse round-trips are identities.
@@ -28,8 +37,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, islice
 
-from .algebra import Poly, as_poly, const_sym, sym
+from .algebra import Poly, _merge, _poly, as_poly, const_sym, sym
 from .errors import NonlinearInParams, ParseError, UndeclaredSymbol
 from .perturb import Perturbation
 from .systems import DiffOperator, LinearDiffPoly, LinearSystem, param_sym
@@ -41,69 +51,48 @@ from .systems import DiffOperator, LinearDiffPoly, LinearSystem, param_sym
 
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|'+|[:;,*+\-/^()]")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# a character that is neither whitespace nor the start of a token
+_UNEXPECTED = re.compile(r"[^\sA-Za-z0-9_':;,*+\-/^()]")
 _INTERNAL_PARAM = re.compile(r"u([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+class _Source:
+    """The tokens of a text as plain strings, followed by ``""`` as the
+    end of input.  A token is a name when it ``isidentifier()`` and an
+    integer when it ``isdigit()``.  Positions are not kept: ``at`` finds
+    the line and column of a token for its error."""
 
+    __slots__ = ("body", "toks")
 
-def _tokenize(text):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            if body[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(body, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {body[pos]!r}",
-                                 lineno, pos + 1)
-            out.append(_Token(m.group(), lineno, pos + 1))
-            pos = m.end()
-    return out
+    def __init__(self, text):
+        # lines as splitlines() counts them, each up to its first '#'
+        self.body = "\n".join(line.split("#", 1)[0]
+                              for line in text.splitlines())
+        bad = _UNEXPECTED.search(self.body)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}",
+                             *self._line_column(bad.start()))
+        self.toks = _TOKEN.findall(self.body)
+        self.toks.append("")
 
+    def _line_column(self, pos):
+        start = self.body.rfind("\n", 0, pos) + 1
+        return self.body.count("\n", 0, pos) + 1, pos - start + 1
 
-class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    def at(self, i):
+        """Line and column of token i, by the token regex run up to it."""
+        hit = next(islice(_TOKEN.finditer(self.body), i, None))
+        return self._line_column(hit.start())
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def take(self, what="a token"):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise ParseError(f"expected {what}, found end of input",
-                             last.line if last else 1,
-                             last.column if last else 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, text):
-        tok = self.take(f"'{text}'")
-        if tok.text != text:
-            raise ParseError(f"expected '{text}', got '{tok.text}'",
-                             tok.line, tok.column)
-        return tok
-
-
-def _is_name(tok):
-    return _NAME.match(tok.text) is not None
-
-
-def _is_int(tok):
-    return tok.text.isdigit()
+    def expected(self, i, what, got=None):
+        """The error for token i when it is not ``what``: at the end of
+        input, at the last token; otherwise ``got``, by default
+        "expected <what>, got '<token>'", at token i."""
+        tok = self.toks[i]
+        if not tok:
+            return ParseError(f"expected {what}, found end of input",
+                              *(self.at(i - 1) if i else (1, 1)))
+        return ParseError(got or f"expected {what}, got '{tok}'", *self.at(i))
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +122,13 @@ class SystemDocument:
         return self.parameters[j - 1]
 
 
-class _Scope:
-    def __init__(self, constants=(), symbols=(), parameters=()):
-        self.constants = set(constants)
-        self.symbols = set(symbols)
-        self.params = {name: j + 1 for j, name in enumerate(parameters)}
-
-    def declare(self, tok, pool):
-        name = tok.text
-        if (name in self.constants or name in self.symbols
-                or name in self.params):
-            raise ParseError(f"'{name}' is declared twice",
-                             tok.line, tok.column)
-        if pool == "constants":
-            self.constants.add(name)
-        elif pool == "diff":
-            self.symbols.add(name)
-        else:
-            self.params[name] = len(self.params) + 1
+def _scope_of(document):
+    """Each declared name mapped to its pool: "constants", "diff", or the
+    number j of parameter u_j."""
+    scope = dict.fromkeys(document.symbols, "diff")
+    scope.update(dict.fromkeys(document.constants, "constants"))
+    scope.update((name, j) for j, name in enumerate(document.parameters, 1))
+    return scope
 
 
 # ---------------------------------------------------------------------------
@@ -158,141 +136,141 @@ class _Scope:
 # ---------------------------------------------------------------------------
 
 
-def _parse_factor(toks, scope):
-    """One rational or one (possibly derived) symbol reference."""
-    tok = toks.take("a factor")
-    if _is_int(tok):
-        num = int(tok.text)
-        nxt = toks.peek()
-        if nxt is not None and nxt.text == "/":
-            toks.take()
-            den_tok = toks.take("a denominator")
-            if not _is_int(den_tok) or int(den_tok.text) == 0:
-                raise ParseError("expected a nonzero integer denominator",
-                                 den_tok.line, den_tok.column)
-            return Fraction(num, int(den_tok.text))
-        return Fraction(num)
-    if not _is_name(tok):
-        raise ParseError(f"expected a factor, got '{tok.text}'",
-                         tok.line, tok.column)
-    order = 0
-    nxt = toks.peek()
-    if nxt is not None and set(nxt.text) == {"'"}:
-        toks.take()
-        order = len(nxt.text)
-    elif nxt is not None and nxt.text == "^":
-        toks.take()
-        toks.expect("(")
-        k = toks.take("a derivative order")
-        if not _is_int(k):
-            raise ParseError(f"expected an integer order, got '{k.text}'",
-                             k.line, k.column)
-        toks.expect(")")
-        order = int(k.text)
-    return (tok, order)
-
-
-def _parse_terms(toks, scope):
-    """Signed factor lists of one expression, up to ';' or end of input."""
+def _parse_terms(src, i):
+    """The terms of the expression at token i, up to ';' or the end of
+    input, and the index after them.  A term is its rational coefficient
+    and the (token index, derivative order) pairs of its symbol factors;
+    the symbols are looked up later, by ``_resolve``."""
+    toks = src.toks
     terms = []
-    sign = 1
-    first = toks.peek()
-    if first is not None and first.text in "+-":
-        toks.take()
-        sign = -1 if first.text == "-" else 1
+    sign = toks[i]
+    if sign == "+" or sign == "-":
+        i += 1
     while True:
-        factors = [_parse_factor(toks, scope)]
-        while toks.peek() is not None and toks.peek().text == "*":
-            toks.take()
-            factors.append(_parse_factor(toks, scope))
-        terms.append((sign, factors))
-        nxt = toks.peek()
-        if nxt is None or nxt.text == ";":
-            return terms
-        if nxt.text not in "+-":
-            raise ParseError(f"expected '+', '-' or ';', got '{nxt.text}'",
-                             nxt.line, nxt.column)
-        toks.take()
-        sign = -1 if nxt.text == "-" else 1
+        num, den, factors = (-1 if sign == "-" else 1), 1, []
+        while True:
+            tok = toks[i]
+            if tok.isdigit():
+                num *= int(tok)
+                i += 1
+                if toks[i] == "/":
+                    i += 1
+                    d = toks[i]
+                    if not d.isdigit() or not int(d):
+                        raise src.expected(
+                            i, "a denominator",
+                            "expected a nonzero integer denominator")
+                    den *= int(d)
+                    i += 1
+            elif tok.isidentifier():
+                nxt = toks[i + 1]
+                if nxt[:1] == "'":
+                    factors.append((i, len(nxt)))
+                    i += 2
+                elif nxt == "^":
+                    if toks[i + 2] != "(":
+                        raise src.expected(i + 2, "'('")
+                    k = toks[i + 3]
+                    if not k.isdigit():
+                        raise src.expected(i + 3, "a derivative order",
+                                           f"expected an integer order, "
+                                           f"got '{k}'")
+                    if toks[i + 4] != ")":
+                        raise src.expected(i + 4, "')'")
+                    factors.append((i, int(k)))
+                    i += 5
+                else:
+                    factors.append((i, 0))
+                    i += 1
+            else:
+                raise src.expected(i, "a factor")
+            if toks[i] != "*":
+                break
+            i += 1
+        terms.append((Fraction(num) if den == 1 else Fraction(num, den),
+                      factors))
+        sign = toks[i]
+        if sign == ";" or not sign:
+            return terms, i
+        if sign != "+" and sign != "-":
+            raise ParseError(f"expected '+', '-' or ';', got '{sign}'",
+                             *src.at(i))
+        i += 1
 
 
-def _symbol_of(tok, order, scope):
-    name = tok.text
-    if name in scope.constants:
-        if order:
-            raise ParseError(f"the derivative of constant '{name}' is zero",
-                             tok.line, tok.column)
-        return const_sym(name)
-    if name in scope.symbols:
-        return sym(name, order)
-    raise UndeclaredSymbol(name)
-
-
-def _term(sign, factors, scope):
-    """One signed product as its coefficient and its parameter factors,
-    the (token, order) pairs that name a parameter."""
-    coeff = as_poly(Fraction(sign))
+def _resolve(src, scope, factors):
+    """The symbols of a term's factors, and its parameter factors as
+    (name, j, order) triples, both in factor order."""
+    syms = []
     targets = []
-    for factor in factors:
-        if isinstance(factor, Fraction):
-            coeff = coeff * as_poly(factor)
-        elif factor[0].text in scope.params:
-            targets.append(factor)
+    for i, order in factors:
+        name = src.toks[i]
+        pool = scope.get(name)
+        if pool == "diff":
+            syms.append(sym(name, order))
+        elif pool == "constants":
+            if order:
+                raise ParseError(f"the derivative of constant '{name}' is "
+                                 f"zero", *src.at(i))
+            syms.append(const_sym(name))
+        elif pool is None:
+            raise UndeclaredSymbol(name)
         else:
-            coeff = coeff * Poly.var(_symbol_of(*factor, scope))
-    return coeff, targets
+            targets.append((name, pool, order))
+    return syms, targets
 
 
-def _equation_from_terms(terms, scope, context):
-    free = []
+def _monomial(syms):
+    """The product of the symbols as a monomial: sorted by ``Sym.key``,
+    repeats as exponents."""
+    if len(syms) < 2:
+        return tuple((s, 1) for s in syms)
+    return tuple((s, len(list(run))) for s, run in groupby(sorted(syms)))
+
+
+def _equation(src, scope, terms, context):
+    """The LinearDiffPoly of parsed terms; ``context`` opens the message
+    of a nonlinear term."""
+    free = {}
     ops = {}
-    for sign, factors in terms:
-        coeff, targets = _term(sign, factors, scope)
+    for q, factors in terms:
+        syms, targets = _resolve(src, scope, factors)
         if len(targets) > 1:
-            shown = " and ".join(t.text for t, _ in targets[:2])
+            shown = " and ".join(name for name, _, _ in targets[:2])
             raise NonlinearInParams(
                 f"{context} multiplies the parameter derivatives {shown}")
         if targets:
-            (tok, order), = targets
-            j = scope.params[tok.text]
-            ops.setdefault(j, {})[order] = (
-                ops.get(j, {}).get(order, Poly.zero()) + coeff)
+            (_, j, order), = targets
+            out = ops.setdefault(j, {}).setdefault(order, {})
         else:
-            free.append(coeff)
-    return LinearDiffPoly(Poly.sum(free),
-                          {j: DiffOperator(ks) for j, ks in ops.items()})
+            out = free
+        if q:
+            _merge(out, ((_monomial(syms), q),))
+    return LinearDiffPoly(_poly(free), {
+        j: DiffOperator({k: _poly(t) for k, t in ks.items()})
+        for j, ks in ops.items()})
 
 
-def _poly_from_terms(terms, scope):
-    pieces = []
-    for sign, factors in terms:
-        coeff, targets = _term(sign, factors, scope)
-        for tok, order in targets:
-            coeff = coeff * Poly.var(param_sym(scope.params[tok.text], order))
-        pieces.append(coeff)
-    return Poly.sum(pieces)
-
-
-def _parse_equation(toks, scope, read, context, known=None):
-    """``<name>: <terms>;`` after an ``eq`` keyword, as the name token and
-    the LinearDiffPoly.  The name must not be in ``read``, and must be in
-    ``known`` when that is given; ``context`` opens the message of a
-    nonlinear term."""
-    name_tok = toks.take("an equation name")
-    if not _is_name(name_tok):
-        raise ParseError(f"expected an equation name, got '{name_tok.text}'",
-                         name_tok.line, name_tok.column)
-    if known is not None and name_tok.text not in known:
-        raise ParseError(f"'{name_tok.text}' is not an equation of the "
-                         f"system", name_tok.line, name_tok.column)
-    if name_tok.text in read:
-        raise ParseError(f"equation '{name_tok.text}' appears twice",
-                         name_tok.line, name_tok.column)
-    toks.expect(":")
-    terms = _parse_terms(toks, scope)
-    toks.expect(";")
-    return name_tok, _equation_from_terms(
-        terms, scope, f"{context} '{name_tok.text}'")
+def _parse_equation(src, i, scope, read, context, known=None):
+    """``<name>: <terms>;`` at token i, after an ``eq`` keyword, as the
+    index after it and the LinearDiffPoly.  The name must not be in
+    ``read``, and must be in ``known`` when that is given; ``context``
+    opens the message of a nonlinear term."""
+    toks = src.toks
+    name = toks[i]
+    if not name.isidentifier():
+        raise src.expected(i, "an equation name")
+    if known is not None and name not in known:
+        raise ParseError(f"'{name}' is not an equation of the system",
+                         *src.at(i))
+    if name in read:
+        raise ParseError(f"equation '{name}' appears twice", *src.at(i))
+    if toks[i + 1] != ":":
+        raise src.expected(i + 1, "':'")
+    terms, i = _parse_terms(src, i + 2)
+    if toks[i] != ";":
+        raise src.expected(i, "';'")
+    return i + 1, _equation(src, scope, terms, f"{context} '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -307,34 +285,43 @@ def parse_document(text, any_shape=False):
     equations is not enforced (diagnostic commands still work on such
     systems, determinant frames will not).
     """
-    toks = _Stream(_tokenize(text))
-    scope = _Scope()
+    src = _Source(text)
+    toks = src.toks
     order = {"constants": [], "diff": [], "params": []}
+    scope = {}
     equations = {}
-    while toks.peek() is not None:
-        head = toks.take("a statement")
-        if head.text in ("constants", "diff", "params"):
-            toks.expect(":")
+    i = 0
+    while toks[i]:
+        head = toks[i]
+        if head in order:
+            if toks[i + 1] != ":":
+                raise src.expected(i + 1, "':'")
+            i += 2
             while True:
-                tok = toks.take("a symbol name")
-                if not _is_name(tok):
-                    raise ParseError(f"expected a name, got '{tok.text}'",
-                                     tok.line, tok.column)
-                scope.declare(tok, head.text)
-                order[head.text].append(tok.text)
-                tok = toks.take("',' or ';'")
-                if tok.text == ";":
+                name = toks[i]
+                if not name.isidentifier():
+                    raise src.expected(i, "a symbol name",
+                                       f"expected a name, got '{name}'")
+                if name in scope:
+                    raise ParseError(f"'{name}' is declared twice",
+                                     *src.at(i))
+                order[head].append(name)
+                scope[name] = (len(order[head]) if head == "params"
+                               else head)
+                sep = toks[i + 1]
+                i += 2
+                if sep == ";":
                     break
-                if tok.text != ",":
-                    raise ParseError(f"expected ',' or ';', got '{tok.text}'",
-                                     tok.line, tok.column)
-        elif head.text == "eq":
-            name_tok, f = _parse_equation(toks, scope, equations, "equation")
-            equations[name_tok.text] = f
+                if sep != ",":
+                    raise src.expected(i - 1, "',' or ';'")
+        elif head == "eq":
+            name = toks[i + 1]
+            i, f = _parse_equation(src, i + 1, scope, equations, "equation")
+            equations[name] = f
         else:
             raise ParseError(
                 f"expected 'constants', 'diff', 'params' or 'eq', "
-                f"got '{head.text}'", head.line, head.column)
+                f"got '{head}'", *src.at(i))
     m = len(order["params"])
     for name in order["constants"] + order["diff"]:
         hit = _INTERNAL_PARAM.match(name)
@@ -355,27 +342,28 @@ def parse_document(text, any_shape=False):
                           equations=tuple(equations.items()))
 
 
-def _scope_of(document):
-    return _Scope(document.constants, document.symbols, document.parameters)
-
-
 def parse_poly(text, document):
     """Parse one polynomial expression in the document's symbols.
 
     Unlike equations the expression may be nonlinear, also in the
     parameters; an optional trailing ';' is accepted.
     """
-    toks = _Stream(_tokenize(text))
-    if toks.peek() is None:
+    src = _Source(text)
+    if not src.toks[0]:
         raise ParseError("empty polynomial expression")
-    terms = _parse_terms(toks, _scope_of(document))
-    if toks.peek() is not None:
-        toks.expect(";")
-    tail = toks.peek()
-    if tail is not None:
-        raise ParseError(f"trailing input '{tail.text}'",
-                         tail.line, tail.column)
-    return _poly_from_terms(terms, _scope_of(document))
+    terms, i = _parse_terms(src, 0)
+    if src.toks[i] == ";":
+        i += 1
+    if src.toks[i]:
+        raise ParseError(f"trailing input '{src.toks[i]}'", *src.at(i))
+    scope = _scope_of(document)
+    out = {}
+    for q, factors in terms:
+        syms, targets = _resolve(src, scope, factors)
+        syms += [param_sym(j, order) for _, j, order in targets]
+        if q:
+            _merge(out, ((_monomial(syms), q),))
+    return _poly(out)
 
 
 def parse_perturbation(text, document):
@@ -385,24 +373,25 @@ def parse_perturbation(text, document):
     the zero term.  Terms must be parameter derivatives with rational
     coefficients and no free part.
     """
-    toks = _Stream(_tokenize(text))
+    src = _Source(text)
+    toks = src.toks
     scope = _scope_of(document)
     entries = {}
-    while toks.peek() is not None:
-        toks.expect("eq")
-        name_tok, poly = _parse_equation(toks, scope, entries,
-                                         "perturbation of", document.names)
+    i = 0
+    while toks[i]:
+        if toks[i] != "eq":
+            raise src.expected(i, "'eq'")
+        at, name = i + 1, toks[i + 1]
+        i, poly = _parse_equation(src, at, scope, entries,
+                                  "perturbation of", document.names)
         if not poly.free.is_zero():
-            raise ParseError(f"perturbation of '{name_tok.text}' has a "
-                             f"free part", name_tok.line, name_tok.column)
-        for op in poly.ops.values():
-            for coeff in op.coeffs.values():
-                if any(mono for mono in coeff.terms):
-                    raise ParseError(
-                        f"perturbation of '{name_tok.text}' has a "
-                        f"non-constant coefficient",
-                        name_tok.line, name_tok.column)
-        entries[name_tok.text] = poly
+            raise ParseError(f"perturbation of '{name}' has a free part",
+                             *src.at(at))
+        if any(mono for op in poly.ops.values()
+               for coeff in op.coeffs.values() for mono in coeff.terms):
+            raise ParseError(f"perturbation of '{name}' has a non-constant "
+                             f"coefficient", *src.at(at))
+        entries[name] = poly
     zero = LinearDiffPoly(Poly.zero(), {})
     return Perturbation(tuple(entries.get(name, zero)
                               for name, _ in document.equations))

@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+from diffres.perturb import eliminate
 from diffres.cli import main, output_schema
 from diffres.sysfile import parse_document, parse_poly
 
@@ -379,6 +380,34 @@ def test_eliminate_names_the_parameters_of_the_file(sysdir, tmp_path, capsys):
     assert custom == auto
     assert auto["elimination"]["output"] == run_json(
         capsys, "eliminate", sysdir / "singular.sys")["elimination"]["output"]
+
+
+def test_the_matching_of_a_subsystem_indexes_its_terms():
+    """The report's matching pairs positions in the subsystem, the ones
+    that index its perturbation terms, with the system's parameter
+    labels: row 1 is member 2 of the five-equation file (f1), v is u1."""
+    report = eliminate(parse_document(FIVE_EQ).system())
+    assert report.members == (2, 3, 4, 5)
+    pert = report.perturbation
+    assert pert.matching == ((1, 4), (2, 2), (3, 3))
+    for row, j in pert.matching:
+        assert j in pert.terms[row - 1].ops
+
+
+def test_eliminate_names_the_proper_subsystem_in_its_note(sysdir, capsys):
+    """The note on a proper subsystem uses the equation names of the
+    file, as the members line does, in text and in JSON."""
+    code, out, _ = run(capsys, "eliminate", sysdir / "five.sys")
+    assert code == 0
+    lines = out.splitlines()
+    assert "members: {f1, f2, f3, f4}" in lines
+    assert "note: working on the proper subsystem {f1, f2, f3, f4}" in lines
+    assert not any("f5" in line for line in lines)
+    payload = run_json(capsys, "eliminate", sysdir / "five.sys")["elimination"]
+    assert payload["members"] == ["f1", "f2", "f3", "f4"]
+    assert payload["notes"] == [
+        "working on the proper subsystem {f1, f2, f3, f4}",
+        "direct determinant vanishes; matrix co-order 2"]
 
 
 @pytest.mark.parametrize("text, message", [
