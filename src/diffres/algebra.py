@@ -815,6 +815,8 @@ class Frac:
         return Frac.of(other) / self
 
     def __eq__(self, other):
+        if not isinstance(other, (Frac, Poly, Sym, int, Fraction)):
+            return NotImplemented
         other = Frac.of(other)
         return self.num * other.den == other.num * self.den
 
@@ -979,44 +981,42 @@ def _bareiss_frame(m, s):
 
 
 def _laplace(m, ring):
-    """Memoized Laplace expansion along the columns, left to right, after
-    Gentleman and Johnson (1976): the determinant of ``m`` as a packed
-    term dict of ``ring``, which must hold n times the largest exponent
-    of an entry.
+    """Laplace expansion along the columns, left to right, by levels after
+    Gentleman and Johnson (1976): the determinant of ``m`` as a packed term
+    dict of ``ring``, which must hold n times the largest exponent of an
+    entry; every term of a minor of side k takes one entry from each of k
+    rows, so no exponent exceeds that bound.
 
-    The minor left after the first c columns is fixed by the rows still
-    unused, so one bitmask of those rows keys the memo.  Expanding the
-    minor along its first column at row r takes the sign of the parity of
-    the unused rows above r.  Every term of a minor of side k takes one
-    entry from each of k rows, so no exponent exceeds that bound.
+    The minor left after the first c columns is keyed by the bitmask of
+    the rows still unused.  One pass lists the masks of each level, top
+    down; a second forms their minors bottom up, dropping each level once
+    the one above it is formed, so at most two levels are held.  Expanding
+    a minor along its first column at row r takes the sign of the parity
+    of the unused rows above r.  A minor sums its products in row order
+    whenever it is formed, so its terms keep the order of the recursive
+    expansion.
     """
     n = len(m)
     packed = [[ring.pack(e.terms) for e in row] for row in m]
-    columns = [[(r, e, {k: -v for k, v in e.items()})
+    columns = [[(1 << r, e, {k: -v for k, v in e.items()})
                 for r in range(n) if (e := packed[r][c])]
                for c in range(n)]
-    memo = {}
-
-    def minor(unused, c):
-        if c == n - 1:
-            return packed[unused.bit_length() - 1][c]
-        det = memo.get(unused)
-        if det is None:
-            det = {}
-            for r, e, neg in columns[c]:
-                bit = 1 << r
-                if unused & bit:
-                    sub = minor(unused ^ bit, c + 1)
-                    if sub:
-                        odd = (unused & (bit - 1)).bit_count() & 1
-                        _add_product(det, neg if odd else e, sub)
-            memo[unused] = det
-        return det
-
-    try:
-        return minor((1 << n) - 1, 0)
-    finally:
-        del minor  # it refers to itself: drop the memo now, not at a GC
+    levels = [{(1 << n) - 1}]
+    for column in columns[:-1]:
+        levels.append({unused ^ bit for unused in levels[-1]
+                       for bit, _, _ in column if unused & bit})
+    below = {unused: packed[unused.bit_length() - 1][n - 1]
+             for unused in levels.pop()}
+    for column in reversed(columns[:-1]):
+        level = {}
+        for unused in levels.pop():
+            det = level[unused] = {}
+            for bit, e, neg in column:
+                if unused & bit and (sub := below[unused ^ bit]):
+                    odd = (unused & (bit - 1)).bit_count() & 1
+                    _add_product(det, neg if odd else e, sub)
+        below = level
+    return below[(1 << n) - 1]
 
 
 def _det_laplace(m, images=None):
@@ -1093,7 +1093,7 @@ def _det_with_image(m, images=None):
     then one packed substitution of the result.  The perturbed frame of a
     numeric system, whose H holds only the perturbation variable, takes
     this route.  Otherwise ``_det_laplace`` expands along the columns,
-    memoized by the unused rows, in one ring that also holds the image.
+    level by level, in one ring that also holds the image.
     Both routes are exact and agree.
     """
     m = _square(m)

@@ -4,14 +4,17 @@ The determinant oracle used here is an independent cofactor expansion that
 shares no code with the library paths it checks.
 """
 
+import ast
 import copy
 import gc
 import hashlib
 import pickle
 import random
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +346,17 @@ def test_frac_cancellation_and_equality():
         Frac(pa, Poly.zero())
 
 
+def test_frac_is_unequal_to_what_is_not_a_polynomial():
+    """A Frac compares with what ``as_poly`` reads and is unequal to
+    anything else, as a Poly is, instead of raising."""
+    one, a = Frac.of(1), sym("a")
+    assert one == 1 and one == Fraction(1) and one == Poly.one()
+    assert Frac(Poly.var(a)) == a and Frac(Fraction(1, 2)) == Fraction(1, 2)
+    for foreign in (None, "1", 1.0, object()):
+        assert not one == foreign and one != foreign and foreign != one
+    assert one not in [None, "1"]
+
+
 def test_frac_field_axioms_random():
     rng = random.Random(13)
     syms = [sym("a"), sym("b")]
@@ -585,8 +599,8 @@ def test_kronecker_route_matches_laplace_random():
 
 
 def test_laplace_leaves_no_garbage_cycle():
-    """The memo of minors is freed when the determinant returns, not held
-    by a reference cycle until the next collection."""
+    """The minors of the expansion are freed when the determinant returns,
+    not held by a reference cycle until the next collection."""
     m = [[Poly.var(sym(f"x{i}{j}")) for j in range(5)] for i in range(5)]
     enabled = gc.isenabled()
     gc.disable()
@@ -598,6 +612,80 @@ def test_laplace_leaves_no_garbage_cycle():
         if enabled:
             gc.enable()
     assert len(det.terms) == 120
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_laplace_does_not_depend_on_the_recursion_limit():
+    """A symbolic determinant of side 120 answers with 40 frames of stack
+    to spare: the expansion runs in loops, not one call per column."""
+    n = 120
+    x = [[Poly.var(sym(f"x{i}_{j}")) if j in (i, i + 1) else Poly.zero()
+          for j in range(n)] for i in range(n)]
+    diagonal = Poly.one()
+    for i in range(n):
+        diagonal = diagonal * x[i][i]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        det = determinant(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert det == diagonal
+
+
+def self_calls(tree):
+    """The (name, line) of each call in ``tree`` by a function to itself:
+    by its bare name from a function, nested or not, and through ``self.``
+    or ``cls.`` from a method, whose bare name is a module-level
+    function."""
+    found = set()
+    stack = [(node, False) for node in ast.iter_child_nodes(tree)]
+    while stack:
+        node, in_class = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if in_class:
+                    itself = (isinstance(f, ast.Attribute)
+                              and f.attr == node.name
+                              and isinstance(f.value, ast.Name)
+                              and f.value.id in ("self", "cls"))
+                else:
+                    itself = isinstance(f, ast.Name) and f.id == node.name
+                if itself:
+                    found.add((node.name, call.lineno))
+            in_class = False
+        elif isinstance(node, ast.ClassDef):
+            in_class = True
+        stack.extend((child, in_class) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_function_in_the_package_calls_itself():
+    """Nothing in the package depends on Python's recursion limit."""
+    assert self_calls(ast.parse("""
+def outer(n):
+    def minor(c):
+        return minor(c + 1)
+class A:
+    def derive(self):
+        return self.derive()
+    def determinant(self):
+        return determinant(self.entries)
+""")) == {("minor", 4), ("derive", 7)}
+    package = Path(algebra.__file__).parent
+    found = {f"{path.name}:{line} {name}"
+             for path in sorted(package.glob("*.py"))
+             for name, line in self_calls(ast.parse(path.read_text()))}
+    assert not found
 
 
 def test_determinant_numeric_and_sparse_agree():
@@ -716,7 +804,9 @@ def laplace_by_sum_terms(m, ring):
 def test_laplace_sums_in_place_in_the_order_of_sum_terms():
     """Products merged straight into a minor keep the ordered items of
     ``_sum_terms`` over ``_pmul``, also where a product of two sums
-    cancels inside itself."""
+    cancels inside itself, at sides 1 to 7, and where a zero row, a zero
+    column or a structurally singular block leaves whole levels of the
+    expansion with no nonzero minor."""
     # merged pair by pair, this product of two sums would move monomial 5
     # to the end: its first pair cancels the 5 already there, its last
     # pair brings it back
@@ -727,15 +817,32 @@ def test_laplace_sums_in_place_in_the_order_of_sum_terms():
     x, y = Poly.var(sym("x")), Poly.var(sym("y"))
     pool = [x, -y, 2 * x * y, Poly.const(3), x + y, x - y, y - x,
             x * y - 1, x * x - y * y]
+
+    def draw(n):
+        return [[rng.choice(pool) if rng.random() < 0.75 else Poly.zero()
+                 for _ in range(n)] for _ in range(n)]
+    cases = [draw(rng.randint(2, 5)) for _ in range(60)]
+    cases += [draw(n) for n in (1, 1, 1, 6, 6, 6, 7, 7)]
+    singular = []
+    for n in (3, 4, 5, 6):
+        zero_row, zero_column, block = draw(n), draw(n), draw(n)
+        zero_row[rng.randrange(n)] = [Poly.zero()] * n
+        c = rng.randrange(n)
+        for row in zero_column:
+            row[c] = Poly.zero()
+        # the first t rows have nonzero entries in t - 1 columns only
+        t = rng.randint(2, n)
+        for row in block[:t]:
+            row[t - 1:] = [Poly.zero()] * (n - t + 1)
+        singular += [zero_row, zero_column, block]
     cancelled = 0
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        m = [[rng.choice(pool) if rng.random() < 0.75 else Poly.zero()
-              for _ in range(n)] for _ in range(n)]
+    for m, zero in [(m, False) for m in cases] + [(m, True) for m in singular]:
+        n = len(m)
         ring = _Ring([sym("x"), sym("y")], 2 * n)
         want, k = laplace_by_sum_terms(m, ring)
         cancelled += k
         assert list(algebra._laplace(m, ring).items()) == list(want.items())
+        assert not (zero and want)
     assert cancelled >= 20
 
 
