@@ -382,16 +382,20 @@ class Poly:
         """Replace whole symbol families.
 
         ``images`` maps symbol names to polynomials (or scalars); a symbol of
-        derivative order k is replaced by the k-th derivative of the image.
+        derivative order k is replaced by the k-th derivative of the image,
+        which ``_derived_images`` keys by symbol for ``_substitution``.
         The polynomial and the images are packed into one ``_Ring``, whose
         fields hold the largest exponent of a term plus e_s times the
         largest exponent in the image of each replaced symbol s, and
         substituted by the packed kernel ``_psubstitute``.  The membership
-        check runs the same kernel; on the direct branch of ``eliminate``
-        its ring is the frame's, which also holds n times the largest
-        exponent of an entry for the Laplace expansion (``_det_laplace``).
+        check runs the same kernel, with symbol-keyed images read off
+        derivative tables or frame rows; on the direct branch of
+        ``eliminate`` its ring is the frame's, which also holds n times the
+        largest exponent of an entry for the Laplace expansion
+        (``_det_laplace``).
         """
-        ring, terms = _substitution(self, images)
+        ring, terms = _substitution(
+            self, _derived_images(images, self.symbols()))
         return ring.unpack(terms)
 
     def evaluate(self, values):
@@ -485,7 +489,9 @@ class _Ring:
     largest exponent of an entry, plus room for the substitution when it
     also takes the determinant's image, and ``_substitution`` by the
     largest exponent of a term plus e_s times the largest exponent in the
-    image of each replaced symbol s.
+    image of each replaced symbol s.  Both take their images keyed by the
+    replaced symbol; each derivative of a free term has its own, read off
+    a frame row or a derivative table.
 
     A term dict packs in its own order, with a coefficient of denominator 1
     as an int, and unpacks in its own order, with Fraction coefficients,
@@ -664,24 +670,35 @@ def _derived_images(images, symbols):
     return {s: chains[s.name][s.order] for s in symbols if s.name in chains}
 
 
+def _replaced(symbols, images):
+    """The images, keyed by symbol, of those of ``symbols`` that the
+    symbol-keyed ``images`` replaces.  A symbol of the name and kind
+    (constant or not) of a replaced one, a derivative of it, is replaced
+    too: one with no image raises KeyError, and never passes as kept."""
+    families = {(s.name, s.constant) for s in images}
+    return {s: images[s] for s in symbols
+            if (s.name, s.constant) in families}
+
+
 def _substitution(p, images):
-    """``p.substitute(images)`` packed: (ring, packed result).
+    """``p`` with each symbol s of the symbol-keyed ``images`` replaced by
+    the polynomial ``images[s]``, packed: (ring, packed result).
 
     A term whose largest exponent is t gains on any symbol at most the sum
     of e_s times the largest exponent in the image of s over its replaced
     symbols s, so t plus that sum bounds the ring.
     """
     symbols = p.symbols()
-    derived = _derived_images(images, symbols)
-    top = {s: _max_exponent(img.terms) for s, img in derived.items()}
+    replaced = _replaced(symbols, images)
+    top = {s: _max_exponent(img.terms) for s, img in replaced.items()}
     degree = max((max(e for _, e in mono)
                   + sum(e * top.get(s, 0) for s, e in mono)
                   for mono in p.terms if mono), default=0)
-    for img in derived.values():
+    for img in replaced.values():
         symbols |= img.symbols()
     ring = _Ring(symbols, degree)
     return ring, _psubstitute(ring.pack(p.terms), ring, {
-        s: ring.pack(img.terms) for s, img in derived.items()})
+        s: ring.pack(img.terms) for s, img in replaced.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -1021,9 +1038,11 @@ def _laplace(m, ring):
 
 def _det_laplace(m, images=None):
     """The Laplace route of ``_det_with_image``: the determinant of ``m``
-    and the packed terms of its image under ``substitute(images)`` (None
-    when ``images`` is None), from one ring that serves the expansion and
-    the substitution; the determinant is unpacked once.
+    and the packed terms of its image when each symbol s of the
+    symbol-keyed ``images`` is replaced by ``images[s]`` (None when
+    ``images`` is None), from one ring that serves the expansion and the
+    substitution; the determinant is unpacked once.  ``eliminate`` reads
+    the image of each free-term derivative off its frame row.
 
     A term of the expansion keeps at most n times the largest exponent E
     of an entry on any symbol, and it takes one entry from each column, so
@@ -1033,22 +1052,22 @@ def _det_laplace(m, images=None):
     """
     entries = [e for row in m for e in row]
     symbols = set().union(*(e.symbols() for e in entries))
-    derived = _derived_images(images or {}, symbols)
-    for img in derived.values():
+    replaced = _replaced(symbols, images or {})
+    for img in replaced.values():
         symbols |= img.symbols()
 
-    def replaced(e):
-        return max((sum(x for s, x in mono if s in derived)
+    def exponents(e):
+        return max((sum(x for s, x in mono if s in replaced)
                     for mono in e.terms), default=0)
 
-    spread = sum(max(map(replaced, column)) for column in zip(*m))
+    spread = sum(max(map(exponents, column)) for column in zip(*m))
     entry_top = max(_max_exponent(e.terms) for e in entries)
-    image_top = max((_max_exponent(img.terms) for img in derived.values()),
+    image_top = max((_max_exponent(img.terms) for img in replaced.values()),
                     default=0)
     ring = _Ring(symbols, len(m) * entry_top + spread * image_top)
     det = _laplace(m, ring)
     image = None if images is None else _psubstitute(det, ring, {
-        s: ring.pack(img.terms) for s, img in derived.items()})
+        s: ring.pack(img.terms) for s, img in replaced.items()})
     return ring.unpack(det), image
 
 
@@ -1080,9 +1099,10 @@ def _route(m):
 def _det_with_image(m, images=None):
     """The determinant router, the one place that picks a route: the exact
     determinant of the square matrix ``m``, the packed terms of its image
-    under ``substitute(images)``, which are empty exactly when the image
-    is 0 (None when ``images`` is None), and the rank of H over the
-    fraction field when the route is Bareiss's (None on the Laplace route).
+    under the symbol-keyed ``images`` (see ``_substitution``), which are
+    empty exactly when the image is 0 (None when ``images`` is None), and
+    the rank of H over the fraction field when the route is Bareiss's
+    (None on the Laplace route).
 
     The frames built here have the form [H | f], with the derived free
     terms in the last column.  When H holds at most one symbol s and f

@@ -180,34 +180,35 @@ class FormulaMatrix:
 
 
 def assemble(system, spec):
-    """Build the matrix of all ``derive^k f_i`` for the given spec.
+    """Lay out the derivative tables of the polynomials as the frame of
+    the given spec.
 
-    Row (i, k) holds the coefficient of u_{j,k'} in the k-th derivative of
-    f_i under each column (j, k'), and the derived free term last.  Any
-    derivative of a parameter falling outside the declared columns is a
-    hard error; the recipes above never produce one.
+    Row (i, k) is row k of the table of f_i (``LinearDiffPoly.derivatives``,
+    built once per polynomial): the coefficient of u_j^(m) under column
+    (j, m), and the derived free term last.  A coefficient outside the
+    declared columns raises ColumnMissing with its label, the least order
+    of the first parameter that has one; the recipes above never produce
+    one.
     """
     columns = _column_order(spec.column_intervals)
     position = {label: idx for idx, label in enumerate(columns)}
+    zeros = [Poly.zero()] * len(columns)
     rows = []
     grid = []
     for i in sorted(spec.row_bounds):
-        f = system.polys[i - 1]
-        stack = [f]
-        for _ in range(spec.row_bounds[i]):
-            stack.append(stack[-1].derive())
-        for k in range(spec.row_bounds[i], -1, -1):
-            g = stack[k]
-            row = [None] * (len(columns) + 1)
-            for j, op in g.ops.items():
-                lo, hi = spec.column_intervals.get(j, (0, -1))
-                for kk in op.support():
-                    if not lo <= kk <= hi:
-                        raise ColumnMissing((j, kk))
-                    row[position[(j, kk)]] = op.coefficient(kk)
-            row[-1] = g.free
-            grid.append(tuple(e if e is not None else Poly.zero()
-                              for e in row))
+        table = system.polys[i - 1].derivatives(spec.row_bounds[i])
+        for k in range(len(table) - 1, -1, -1):
+            coeffs, free = table[k]
+            row = zeros + [free]
+            for label, c in coeffs.items():
+                idx = position.get(label)
+                if idx is None:
+                    j = label[0]
+                    raise ColumnMissing((j, min(
+                        m for jj, m in coeffs
+                        if jj == j and (jj, m) not in position)))
+                row[idx] = c
+            grid.append(tuple(row))
             rows.append((i, k))
     return FormulaMatrix(rows=tuple(rows), columns=tuple(columns),
                          entries=tuple(grid), spec=spec)

@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Frac, Poly, _det_with_image, _mono_gcd, _substitution,
-                      as_poly, const_sym, exact_div, sym)
+from .algebra import (Frac, Poly, _det_with_image, _mono_gcd, _mono_mul,
+                      _poly, _substitution, as_poly, const_sym, exact_div,
+                      sym)
 from .errors import (
     AssumptionViolated,
     DivisionByZero,
@@ -49,6 +50,7 @@ from .systems import (
     LinearDiffPoly,
     LinearSystem,
     order_profile,
+    param_sym,
     validate,
 )
 
@@ -573,41 +575,77 @@ def _free_constant(f):
     raise NotDPPEShaped("free term must be a single fresh symbol")
 
 
-def _membership_images(system):
-    """Each free constant's name -> minus the parameter part of its
-    polynomial, the substitution under which a member of the ideal
-    vanishes; NotDPPEShaped unless the free terms are pairwise distinct
-    fresh symbols that no coefficient mentions."""
-    images = {}
+def _free_names(system):
+    """The names of the free constants of the polynomials, in order;
+    NotDPPEShaped unless they are pairwise distinct fresh symbols that no
+    coefficient mentions."""
+    names = []
     mentioned = set()
     for f in system.polys:
         s = _free_constant(f)
-        if s.name in images:
+        if s.name in names:
             raise NotDPPEShaped("free constants must be pairwise distinct")
-        images[s.name] = -f.param_part()
+        names.append(s.name)
         for op in f.ops.values():
             for c in op.coeffs.values():
                 mentioned.update(t.name for t in c.symbols())
-    if not mentioned.isdisjoint(images):
+    if not mentioned.isdisjoint(names):
         raise NotDPPEShaped("free constants reappear inside coefficients")
-    return images
+    return names
+
+
+def _image(pairs):
+    """Minus the sum of c * u over the pairs (u, c) of a parameter
+    derivative u = u_j^(m) and its coefficient c in one row of a
+    derivative table or of a frame: the image of the free-term derivative
+    of that row, under which a member of the ideal vanishes.  No
+    coefficient holds a parameter, so every term is new."""
+    terms = {}
+    for u, c in pairs:
+        u = ((u, 1),)
+        for mono, a in c.terms.items():
+            terms[_mono_mul(mono, u)] = -a
+    return _poly(terms)
+
+
+def _frame_images(matrix, names):
+    """The image of each free-term derivative c_i^(k) of an assembled
+    frame, read off its row (i, k): minus the sum over the parameter
+    columns (j, m) of the row's entry times u_j^(m).  ``names`` are the
+    free constants of the polynomials, by position."""
+    us = [param_sym(j, m) for j, m in matrix.columns]
+    return {sym(names[i - 1], k): _image((u, e) for u, e in zip(us, row)
+                                         if e.terms)
+            for (i, k), row in zip(matrix.rows, matrix.entries)}
 
 
 def verify_membership(B, system):
     """Does B lie in the ideal generated by the system?
 
-    Needs every free term to be its own fresh symbol; each such symbol is
-    replaced by minus the parameter part of its polynomial and membership
-    holds exactly when the substitution cancels B.  The substitution runs
-    packed, in one ring sized by the largest exponent of each term plus
-    e_s times the largest image exponent of each replaced symbol s.
-    ``eliminate`` runs the same kernel with the same images on its
-    answer; on the direct branch the ring is the one of the Laplace
-    expansion, sized for n times the largest exponent of an entry as well
-    (``algebra._det_laplace``).
+    Needs every free term to be its own fresh symbol c_i.  Each derivative
+    c_i^(k) of B is replaced by minus the parameter part of the k-th
+    derivative of its polynomial, read off row k of the polynomial's
+    derivative table (``LinearDiffPoly.derivatives``), built up to the
+    highest order of c_i in B; membership holds exactly when the
+    substitution cancels B.  Images are keyed by symbol, so a constant
+    symbol that shares the name of a free term is kept.  The substitution
+    runs packed, in one ring sized by the largest exponent of each term
+    plus e_s times the largest image exponent of each replaced symbol s.
+    ``eliminate`` runs the same kernel on its answer, with the images read
+    off the rows of its frame; on the direct branch the ring is the one of
+    the Laplace expansion, sized for n times the largest exponent of an
+    entry as well (``algebra._det_laplace``).
     """
-    images = _membership_images(system)
-    return not _substitution(as_poly(B), images)[1]
+    B = as_poly(B)
+    symbols = [s for s in B.symbols() if not s.constant]
+    images = {}
+    for f, name in zip(system.polys, _free_names(system)):
+        orders = [s.order for s in symbols if s.name == name]
+        if orders:
+            for k, (row, _) in enumerate(f.derivatives(max(orders))):
+                images[sym(name, k)] = _image(
+                    (param_sym(j, m), c) for (j, m), c in row.items())
+    return not _substitution(B, images)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +670,7 @@ class EliminationReport:
 
 def _verdict(image, notes):
     """Membership read off the packed image of an answer under the
-    substitution of ``_membership_images``; None, with a note, when the
+    substitution of ``_frame_images``; None, with a note, when the
     system has no such substitution (``image`` is None)."""
     if image is None:
         notes.append("free terms are not single fresh constants; "
@@ -693,11 +731,10 @@ def eliminate(system, perturbation="auto"):
     if len(cert.members) != system.n:
         shown = ", ".join(f"f{i}" for i in cert.members)
         notes.append(f"working on the proper subsystem {{{shown}}}")
-    images = None
     try:
-        images = _membership_images(sub)
+        images = _frame_images(matrix, _free_names(sub))
     except NotDPPEShaped:
-        pass
+        images = None
     det, image, pivots = _det_with_image(matrix.entries, images)
     if not det.is_zero():
         membership = _verdict(image, notes)

@@ -68,14 +68,9 @@ class DiffOperator:
         return self.coeffs.get(k, Poly.zero())
 
     def derive(self):
-        """D composed with the operator: c_k -> c_k' at k plus c_k at k+1."""
-        out = {}
-        for k, c in self.coeffs.items():
-            dc = c.derive()
-            if not dc.is_zero():
-                out[k] = out.get(k, Poly.zero()) + dc
-            out[k + 1] = out.get(k + 1, Poly.zero()) + c
-        return DiffOperator(out)
+        """D composed with the operator: one step of ``_derive_row``."""
+        row = _derive_row({(0, k): c for k, c in self.coeffs.items()})
+        return DiffOperator({k: c for (_, k), c in row.items()})
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -111,6 +106,23 @@ class DiffOperator:
         return " + ".join(parts)
 
 
+def _derive_row(row):
+    """One derivation step of a row of a derivative table, the package's
+    one rule for deriving an operator: the coefficient c of u_j^(m), keyed
+    (j, m), passes to (j, m + 1), and c' adds to (j, m).  Keys and sums
+    follow the order of the row's items, so the entry at (j, m) sums
+    c_(m-1) and c_m' in the order those keys come, ``Poly.derive`` runs
+    only on a non-constant c, and an entry that cancels is dropped."""
+    out = {}
+    for (j, m), c in row.items():
+        if not c.is_constant() and (dc := c.derive()).terms:
+            v = out.get((j, m))
+            out[j, m] = dc if v is None else v + dc
+        v = out.get((j, m + 1))
+        out[j, m + 1] = c if v is None else v + c
+    return {key: c for key, c in out.items() if c.terms}
+
+
 # ---------------------------------------------------------------------------
 # linear differential polynomials
 # ---------------------------------------------------------------------------
@@ -137,9 +149,28 @@ class LinearDiffPoly:
             return -1
         return max(op.deg() for op in self.ops.values())
 
+    def derivatives(self, n):
+        """The derivative table up to order n: row k is (coefficients,
+        free term) of the k-th derivative, the coefficients a dict from
+        (j, m) to the coefficient of u_j^(m), in the order of the operators
+        and of their coefficients.  Each row is derived from the one before
+        by ``_derive_row``, each coefficient once per order."""
+        row = {(j, m): c for j, op in self.ops.items()
+               for m, c in op.coeffs.items()}
+        free = self.free
+        table = [(row, free)]
+        for _ in range(n):
+            row, free = _derive_row(row), free.derive()
+            table.append((row, free))
+        return table
+
     def derive(self):
-        return LinearDiffPoly(self.free.derive(),
-                              {j: op.derive() for j, op in self.ops.items()})
+        """The first derivative: row 1 of the derivative table."""
+        row, free = self.derivatives(1)[1]
+        ops = {}
+        for (j, m), c in row.items():
+            ops.setdefault(j, {})[m] = c
+        return LinearDiffPoly(free, ops)
 
     def to_poly(self):
         return self.free + self.param_part()

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from diffres.algebra import Poly, _merge, as_poly, const_sym, sym
-from diffres.errors import NonlinearInParams, ParseError, UndeclaredSymbol
+from diffres.errors import (ColumnMissing, NonlinearInParams, ParseError,
+                            UndeclaredSymbol)
+from diffres.formulas import FormulaMatrix, _column_order
 from diffres.perturb import Perturbation
 from diffres.sysfile import SystemDocument
 from diffres.systems import (DiffOperator, LinearDiffPoly, LinearSystem,
@@ -151,6 +153,66 @@ def eager_bareiss(rows, free=None):
         prev = pivot
         cols.append(c)
     return cols, order, sign
+
+
+# ---------------------------------------------------------------------------
+# reference assembly
+# ---------------------------------------------------------------------------
+#
+# The assembly that the derivative tables replaced: each polynomial derived
+# as a stack of ``LinearDiffPoly`` objects by the operator rule below, and
+# each row read off its operators by ``support`` and ``coefficient``.  Its
+# code is kept as it was, with the derivation methods inlined as functions.
+
+
+def reference_derive_operator(op):
+    """D composed with the operator: c_k -> c_k' at k plus c_k at k+1."""
+    out = {}
+    for k, c in op.coeffs.items():
+        dc = c.derive()
+        if not dc.is_zero():
+            out[k] = out.get(k, Poly.zero()) + dc
+        out[k + 1] = out.get(k + 1, Poly.zero()) + c
+    return DiffOperator(out)
+
+
+def reference_derive(f):
+    return LinearDiffPoly(f.free.derive(),
+                          {j: reference_derive_operator(op)
+                           for j, op in f.ops.items()})
+
+
+def reference_assemble(system, spec):
+    """Reference for ``formulas.assemble``."""
+    columns = _column_order(spec.column_intervals)
+    position = {label: idx for idx, label in enumerate(columns)}
+    rows = []
+    grid = []
+    for i in sorted(spec.row_bounds):
+        f = system.polys[i - 1]
+        stack = [f]
+        for _ in range(spec.row_bounds[i]):
+            stack.append(reference_derive(stack[-1]))
+        for k in range(spec.row_bounds[i], -1, -1):
+            g = stack[k]
+            row = [None] * (len(columns) + 1)
+            for j, op in g.ops.items():
+                lo, hi = spec.column_intervals.get(j, (0, -1))
+                for kk in op.support():
+                    if not lo <= kk <= hi:
+                        raise ColumnMissing((j, kk))
+                    row[position[(j, kk)]] = op.coefficient(kk)
+            row[-1] = g.free
+            grid.append(tuple(e if e is not None else Poly.zero()
+                              for e in row))
+            rows.append((i, k))
+    return FormulaMatrix(rows=tuple(rows), columns=tuple(columns),
+                         entries=tuple(grid), spec=spec)
+
+
+def ordered_entries(matrix):
+    """The entries of a frame with the terms of each in their order."""
+    return [[list(e.terms.items()) for e in row] for row in matrix.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 
 from diffres import algebra, formulas
 from diffres.algebra import Poly, const_sym, determinant, sym
-from diffres.errors import (BetaOmegaViolated, ColumnMissing, NotDefinable,
+from diffres.errors import (AssumptionViolated, BetaOmegaViolated,
+                            ColumnMissing, NotDefinable,
                             NotDifferentiallyEssential)
 from diffres.formulas import (FormulaMatrix, FormulaSpec, Kind, Verdict,
                               assemble, certify_nonzero, co_order, dfres,
@@ -26,8 +27,10 @@ from diffres.systems import (LinearDiffPoly, LinearSystem, linear_poly,
 
 from conftest import (GENERIC_FOUR_VALUES, SE_DE_2, SE_DE_3, four_eq_system,
                       derive_n, generic_four_system,
-                      generic_three_system, motivation_system, pattern_system, tall_order_system, v)
+                      generic_three_system, motivation_system, ordered_entries,
+                      pattern_system, reference_assemble, tall_order_system, v)
 from test_algebra import numeric_h_frames
+from test_properties import random_system
 
 
 def skewed_system():
@@ -194,6 +197,112 @@ def test_assembly_fails_fast_on_missing_column():
     with pytest.raises(ColumnMissing) as err:
         assemble(tall_order_system(), spec)
     assert err.value.label == (1, 6)
+
+
+def general_specs(system):
+    """Every valid shift datum with beta_j in {0, 1} and omega the orders,
+    or the orders plus one."""
+    orders = list(system.orders())
+    for omega in (orders, [o + 1 for o in orders]):
+        for bits in range(1 << system.params):
+            beta = [bits >> j & 1 for j in range(system.params)]
+            try:
+                yield spec_general(system, beta, omega)
+            except (BetaOmegaViolated, NotDefinable):
+                pass
+
+
+def assembled_or_missing(assembler, system, spec):
+    try:
+        return assembler(system, spec)
+    except ColumnMissing as err:
+        return err.label
+
+
+def check_assembly(system, spec):
+    """The frame of the derivative tables against the derive-stack
+    reference: rows, columns and entries, the term order of each entry
+    included, or the same ColumnMissing label.  True when both raised."""
+    want = assembled_or_missing(reference_assemble, system, spec)
+    got = assembled_or_missing(assemble, system, spec)
+    if isinstance(want, tuple):
+        assert got == want
+        return True
+    assert (got.rows, got.columns) == (want.rows, want.columns)
+    assert ordered_entries(got) == ordered_entries(want)
+    return False
+
+
+def test_assembly_matches_the_derive_stack_reference():
+    systems = [motivation_system(), generic_three_system(),
+               generic_four_system(), four_eq_system(5), four_eq_system(1),
+               tall_order_system(), skewed_system(), dense_flat_system(),
+               pattern_system(SE_DE_2), pattern_system(SE_DE_3, order=2)]
+    compared = 0
+    for system in systems:
+        specs = []
+        for ctor in (spec_fres, spec_cres, spec_cf):
+            try:
+                specs.append(ctor(system))
+            except (NotDefinable, AssumptionViolated):
+                pass
+        for spec in specs + list(general_specs(system)):
+            assert not check_assembly(system, spec)
+            compared += 1
+    assert compared >= 40, compared
+
+
+def test_assembly_matches_the_reference_on_random_symbolic_systems():
+    """Symbolic coefficients up to the third power, derived to several
+    orders, with their derivative orders drawn out of order, so the sums
+    c_(m-1) + c_m' meet in either order."""
+    rng = random.Random(3301)
+    kinds = {"fres": 0, "cres": 0, "cf": 0, "general": 0}
+    for _ in range(200):
+        system = random_system(rng, max_n=3, max_order=3, symbolic=0.6,
+                               power=3)
+        for kind, ctor in (("fres", spec_fres), ("cres", spec_cres),
+                           ("cf", spec_cf)):
+            try:
+                spec = ctor(system)
+            except (NotDefinable, AssumptionViolated):
+                continue
+            if spec.side <= 16:
+                assert not check_assembly(system, spec)
+                kinds[kind] += 1
+        for spec in list(general_specs(system))[:2]:
+            if spec.side <= 16:
+                assert not check_assembly(system, spec)
+                kinds["general"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_assembly_raises_the_reference_column_missing_label():
+    """Tight frames with their column windows slid by up to three orders
+    either way keep their shape; where coefficients fall outside, often
+    several of one parameter or of several, both assemblies name the same
+    label."""
+    rng = random.Random(3302)
+    raised = matched = 0
+    for _ in range(300):
+        system = random_system(rng, max_n=3, max_order=3, symbolic=0.4,
+                               power=2)
+        try:
+            spec = spec_fres(system)
+        except (NotDefinable, AssumptionViolated):
+            continue
+        if spec.side > 16:
+            continue
+        intervals = {}
+        for j, (lo, hi) in spec.column_intervals.items():
+            d = rng.choice([d for d in range(-3, 4) if lo + d >= 0])
+            intervals[j] = (lo + d, hi + d)
+        slid = FormulaSpec(Kind.FRES, spec.row_bounds, intervals)
+        if check_assembly(system, slid):
+            raised += 1
+        else:
+            matched += 1
+    assert raised >= 30 and matched >= 30, (raised, matched)
 
 
 def test_zero_columns():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     SE_DE_2,
+    derive_n,
     four_eq_system,
     generic_four_system,
     generic_three_system,
@@ -15,13 +16,16 @@ from conftest import (
     v,
 )
 from test_algebra import substitute_oracle
+from test_properties import random_system
 
-from diffres.algebra import (Frac, Poly, _det_with_image, const_sym,
-                             determinant, exact_div, sym)
+from diffres.algebra import (Frac, Poly, _det_with_image, _route, _square,
+                             _substitution, const_sym, determinant,
+                             exact_div, sym)
 from diffres.errors import (
     AssumptionViolated,
     EmptyInput,
     InputError,
+    NotDefinable,
     NotDPPEShaped,
     NotLinear,
     NotSuperEssential,
@@ -29,13 +33,15 @@ from diffres.errors import (
     SymbolClash,
     ZeroInput,
 )
-from diffres.formulas import Verdict, certify_nonzero, dfres, spec_cres
+from diffres.formulas import (Verdict, assemble, certify_nonzero, dfres,
+                              spec_cres, spec_fres)
 from diffres import perturb
 from diffres.perturb import (
     FractionOperator,
     Perturbation,
     _dense,
     _divmod_left,
+    _frame_images,
     _left_gcd,
     decompose_linear,
     default_perturbation,
@@ -54,6 +60,7 @@ from diffres.systems import (
     LinearDiffPoly,
     LinearSystem,
     linear_poly,
+    validate,
 )
 
 
@@ -532,10 +539,172 @@ def test_the_direct_ring_holds_the_substitution_bound():
     for image, member in ((v("a") * v("b"), True),
                           (v("a") ** 4 * v("b"), False)):
         images = {"c": image}
-        det, packed, _ = _det_with_image(m, images)
+        det, packed, _ = _det_with_image(m, {sym("c"): image})
         assert det == determinant(m)
         assert substitute_oracle(det, images).is_zero() is member
         assert (not packed) is member
+
+
+def test_a_constant_symbol_is_not_a_free_term():
+    """Images are keyed by symbol: the constant c2 is an indeterminate of
+    its own, not the free term c2, so const c2 - c1' is no member, while
+    c2 - c1' is."""
+    system = LinearSystem([
+        linear_poly(v("c1"), {1: {0: 1}}),
+        linear_poly(v("c2"), {1: {1: 1}}),
+    ], params=1)
+    assert verify_membership(v("c2") - v("c1", 1), system)
+    assert not verify_membership(Poly.var(const_sym("c2")) - v("c1", 1),
+                                 system)
+
+
+def test_a_replaced_symbol_without_an_image_raises():
+    """c1' with an image for c1 only must not pass as a kept symbol."""
+    images = {sym("c1"): v("u1")}
+    assert _substitution(v("c1"), images)[1]
+    with pytest.raises(KeyError, match=r"c1\^\(1\)"):
+        _substitution(v("c1") + v("c1", 1), images)
+    with pytest.raises(KeyError, match=r"c1\^\(1\)"):
+        _det_with_image([[v("a"), v("c1", 1)], [1, v("c1")]], images)
+
+
+def name_images(system):
+    """The images the frame rows replaced: each free constant's name ->
+    minus the parameter part of its polynomial, for ``substitute_oracle``,
+    which derives them order by order."""
+    return {f"c{i}": -f.param_part() for i, f in enumerate(system.polys, 1)}
+
+
+def assert_verdicts_match(B, member, system, images):
+    """The packed verdict under the frame-row images, the tuple oracle
+    under the name-keyed images and ``verify_membership`` all agree."""
+    assert (not _substitution(B, images)[1]) is member
+    assert substitute_oracle(B, name_images(system)).is_zero() is member
+    assert verify_membership(B, system) is member
+
+
+def candidates(B):
+    """B, B times a free constant (exponent 2 on a replaced symbol) and B
+    plus one of its own monomials, with their verdicts for a member B."""
+    stray = next(iter(B.terms))
+    return ((B, True), (B * v("c1"), True), (B + Poly({stray: 1}), False))
+
+
+def frame_images(system):
+    matrix = assemble(system, spec_fres(system))
+    return matrix, _frame_images(
+        matrix, [f"c{i}" for i in range(1, system.n + 1)])
+
+
+def test_frame_row_images_match_the_derived_parameter_parts():
+    """Direct branch, both routes: each frame-row image is the derived
+    name-keyed image, and the verdicts on members, det * c1 and det plus a
+    stray monomial agree with the oracle, through ``_det_with_image``,
+    ``_substitution`` and ``verify_membership``."""
+    rng = random.Random(3303)
+    routes = {True: 0, False: 0}
+    for _ in range(400):
+        if min(routes.values()) >= 40:
+            break
+        symbolic = rng.choice([0.0, 0.5])
+        system = random_system(rng, max_n=3, max_order=rng.choice([1, 2]),
+                               symbolic=symbolic, power=2)
+        try:
+            spec = spec_fres(system)
+        except NotDefinable:
+            continue
+        if spec.side > 9:
+            continue
+        matrix, images = frame_images(system)
+        old = name_images(system)
+        assert len(images) == spec.side
+        for s, image in images.items():
+            assert image == derive_n(old[s.name], s.order)
+        det, packed, _ = _det_with_image(matrix.entries, images)
+        if det.is_zero():
+            continue
+        bareiss, _ = _route(_square(matrix.entries))
+        routes[bareiss] += 1
+        assert not packed
+        for B, member in candidates(det):
+            assert_verdicts_match(B, member, system, images)
+    assert min(routes.values()) >= 40, routes
+
+
+def rank_deficient_system(rng, symbolic):
+    """f3 is c3 plus the parameter part of D f1 + f2, so c3 - c1' - c2
+    lies in the ideal and the frame loses rank."""
+    def coeff(name):
+        if rng.random() < symbolic:
+            return v(name) ** rng.randint(1, 2)
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+
+    def ops(tag):
+        return {j: {k: coeff(f"{tag}{j}{k}")
+                    for k in rng.sample(range(2), rng.randint(1, 2))}
+                for j in (1, 2)}
+    f1 = linear_poly(v("c1"), ops("a"))
+    f2 = linear_poly(v("c2"), ops("b"))
+    df1 = LinearDiffPoly(Poly.zero(), f1.ops).derive()
+    f3 = LinearDiffPoly(v("c3"), {j: df1.ops[j] + f2.ops[j] for j in (1, 2)})
+    return LinearSystem([f1, f2, f3], params=2)
+
+
+def test_frame_row_images_serve_the_perturbed_branch():
+    """The perturbed answer lies in the ideal under the images of the
+    unperturbed frame's rows, with numeric H(p) on the Bareiss route and
+    symbolic H(p) on the Laplace route."""
+    rng = random.Random(3304)
+    seen = {0.0: 0, 0.5: 0}
+    for _ in range(200):
+        if min(seen.values()) >= 8:
+            break
+        symbolic = rng.choice(list(seen))
+        system = rank_deficient_system(rng, symbolic)
+        if not validate(system).ok or spec_fres(system).side > 9:
+            continue
+        report = eliminate(system)
+        if report.branch != "perturbed" or report.members != (1, 2, 3):
+            continue
+        seen[symbolic] += 1
+        assert report.membership is True
+        _, images = frame_images(system)
+        for B, member in candidates(report.output):
+            assert_verdicts_match(B, member, system, images)
+    assert min(seen.values()) >= 8, seen
+
+
+def test_membership_past_every_frame_row():
+    """verify_membership builds each table up to the highest order of its
+    free constant in the input: derivatives of a determinant reach past
+    every frame row and stay members; a stray high derivative does not."""
+    rng = random.Random(3305)
+    checked = 0
+    for _ in range(300):
+        if checked >= 30:
+            break
+        system = random_system(rng, max_n=3, max_order=2,
+                               symbolic=rng.choice([0.0, 0.5]), power=2)
+        try:
+            spec = spec_fres(system)
+        except NotDefinable:
+            continue
+        if spec.side > 8:
+            continue
+        det = assemble(system, spec).determinant()
+        if det.is_zero():
+            continue
+        top = max(spec.row_bounds.values())
+        for r in (1, 2):
+            B = derive_n(det, r)
+            assert any(s.order > top for s in B.symbols())
+            for B, member in ((B, True), (B + v("c1", top + 3) * v("c2"),
+                                          False)):
+                assert substitute_oracle(
+                    B, name_images(system)).is_zero() is member
+                assert verify_membership(B, system) is member
+        checked += 1
+    assert checked >= 30, checked
 
 
 def eliminate_digest(reports):

@@ -23,7 +23,7 @@ from diffres.algebra import (Poly, _bareiss_frame, _det_laplace,
 from diffres.errors import BetaOmegaViolated, MathError, NotDefinable
 from diffres.formulas import (assemble, spec_cf, spec_cres, spec_fres,
                               spec_general, zero_columns)
-from diffres.perturb import (default_perturbation, eliminate,
+from diffres.perturb import (_frame_images, default_perturbation, eliminate,
                              perturbed_matrix, verify_membership)
 from diffres.structure import (is_super_essential, pattern_matrix,
                                structural_rank)
@@ -158,7 +158,8 @@ def test_membership_verdicts_match_the_substitution_oracle():
             continue
         images = {f"c{i + 1}": -f.param_part()
                   for i, f in enumerate(system.polys)}
-        shared, image, _ = _det_with_image(matrix.entries, images)
+        shared, image, _ = _det_with_image(
+            matrix.entries, _frame_images(matrix, list(images)))
         assert list(shared.terms.items()) == list(det.terms.items())
         assert not image
         stray = next(iter(det.terms))
